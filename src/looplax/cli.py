@@ -122,10 +122,12 @@ def _solver_setup(cfg, args):
     frame = load_frame(frame_cfg)
     tolerances = cfg.get("tolerances", {})
     params = SolverParams(
-        N=int(args.depth_N or cfg.get("N", 16)),
-        M=int(args.depth_M or cfg.get("M", 12)),
+        N=int(cfg.get("N", 16) if args.depth_N is None else args.depth_N),
+        M=int(cfg.get("M", 12) if args.depth_M is None else args.depth_M),
         grid=int(cfg.get("grid", 128)),
-        fact_tol=float(args.tol_fact or tolerances.get("fact_tol", 1e-10)),
+        fact_tol=float(
+            tolerances.get("fact_tol", 1e-10) if args.tol_fact is None else args.tol_fact
+        ),
         cond_max=float(tolerances.get("cond_max", 1e10)),
         tail_tol=float(tolerances.get("tail_tol", 1e-8)),
     )

@@ -35,6 +35,7 @@ from .errors import (
     BigCellViolation,
     FlowSupportViolation,
     IndexOutOfRange,
+    WindowUnderflow,
 )
 from .hierarchy import (
     CommutativeFrame,
@@ -81,6 +82,11 @@ class SolverParams:
     tail_tol: float = 1e-8
 
     def __post_init__(self):
+        if self.N < 1 or self.M < 1:
+            raise ValueError("depths N and M must be at least 1")
+        for name in ("fact_tol", "cond_max", "tail_tol"):
+            if not 0 < getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be positive and finite")
         if self.grid < 4 * self.N or self.grid & (self.grid - 1):
             raise ValueError("grid must be a power of two with grid >= 4N")
 
@@ -159,18 +165,14 @@ class AnnulusLoop:
         if G < 2 * self.N + 2:
             raise ValueError("grid too small for the stored frequencies")
         c = np.zeros((G, self.n, self.n), dtype=complex)
-        for k in range(-self.N, self.N + 1):
-            c[k % G] += self.coeffs[k + self.N]
+        c[np.arange(-self.N, self.N + 1) % G] += self.coeffs
         return np.fft.ifft(c, axis=0) * G
 
     @classmethod
     def from_grid(cls, values: np.ndarray, N: int, r: float = 0.5) -> "AnnulusLoop":
         G, n, _ = values.shape
         bins = np.fft.fft(values, axis=0) / G
-        c = np.zeros((2 * N + 1, n, n), dtype=complex)
-        for k in range(-N, N + 1):
-            c[k + N] = bins[k % G]
-        return cls(n, c, r)
+        return cls(n, bins[np.arange(-N, N + 1) % G], r)
 
     def to_series(self, direction: str, window=None) -> LoopSeries:
         """View as a total LoopSeries (every power outside [-N, N] is zero)."""
@@ -212,8 +214,7 @@ def random_loop(n: int, N: int, eps: float, seed: int, rho: float = 0.15, r: flo
         )
     G = max(64, 4 * N)
     vals = AnnulusLoop(n, x, r).grid_values(G)
-    g_vals = np.stack([expm(eps * vals[j]) for j in range(G)])
-    return AnnulusLoop.from_grid(g_vals, N, r)
+    return AnnulusLoop.from_grid(expm(eps * vals), N, r)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +234,7 @@ def _flow_grid_values(flows: FlowRecord, frame: CommutativeFrame, G: int, sign: 
     h *= sign
     if not np.any(h):
         return np.broadcast_to(np.eye(n, dtype=complex), (G, n, n)).copy()
-    return np.stack([expm(h[j]) for j in range(G)])
+    return expm(h)
 
 
 def gamma_eval(
@@ -312,13 +313,13 @@ def birkhoff_factorize(
     set is open).
     """
     n, scale = loop.n, max(loop.norm_max(), 1.0)
-    big = np.zeros((M * n, M * n), dtype=complex)
-    rhs = np.zeros((n, M * n), dtype=complex)
-    for c in range(M):  # column block c encodes the equation at j = -(c+1)
-        j = -(c + 1)
-        rhs[:, c * n : (c + 1) * n] = -loop.coeff(j)
-        for k in range(1, M + 1):
-            big[(k - 1) * n : k * n, c * n : (c + 1) * n] = loop.coeff(j + k)
+    padded = loop.pad(M)
+    coeffs, N = padded.coeffs, padded.N
+    # column block c encodes the equation at j = -(c+1); row block k-1 holds
+    # l_{j+k}, so block (r, c) is l_{r-c}
+    blocks = coeffs[np.subtract.outer(np.arange(M), np.arange(M)) + N]
+    big = blocks.transpose(0, 2, 1, 3).reshape(M * n, M * n)
+    rhs = -coeffs[N - M : N][::-1].transpose(1, 0, 2).reshape(n, M * n)
     svals = np.linalg.svd(big, compute_uv=False)
     if svals[0] == 0.0 or svals[-1] == 0.0 or svals[0] / svals[-1] > cond_max:
         raise BigCellViolation(
@@ -328,19 +329,18 @@ def birkhoff_factorize(
     sol = np.linalg.solve(big.T, rhs.T).T  # X big = rhs
     u_coeffs = np.zeros((2 * M + 1, n, n), dtype=complex)
     u_coeffs[M] = np.eye(n)
-    for k in range(1, M + 1):
-        u_coeffs[M - k] = sol[:, (k - 1) * n : k * n]
+    u_coeffs[:M] = sol.reshape(n, M, n).transpose(1, 0, 2)[::-1]
     u_minus = AnnulusLoop(n, u_coeffs, loop.r)
 
-    # full product u_minus * loop; negative bins beyond -M measure leakage
+    # full product u_minus * loop as block rows; negative bins beyond -M
+    # measure leakage.  a_k (power k) meets l_{-N..N} at bins k+M..k+M+2N.
     NP = loop.N + M
-    prod = np.zeros((2 * NP + 1, n, n), dtype=complex)
-    for k in range(-M, 1):
-        a = u_minus.coeff(k)
-        if not np.any(a):
-            continue
-        for j in range(-loop.N, loop.N + 1):
-            prod[k + j + NP] += a @ loop.coeff(j)
+    row = np.concatenate(loop.coeffs, axis=-1)
+    prod = np.zeros((n, (2 * NP + 1) * n), dtype=complex)
+    for i, a in enumerate(u_coeffs[: M + 1]):
+        if np.any(a):
+            prod[:, i * n : (i + 2 * loop.N + 1) * n] += a @ row
+    prod = prod.reshape(n, 2 * NP + 1, n).transpose(1, 0, 2)
     neg_mass = float(np.max(np.abs(prod[:NP]))) if NP else 0.0
     if neg_mass > fact_tol * scale:
         raise BigCellViolation(
@@ -463,13 +463,8 @@ class HierarchySolution:
     provenance: dict
 
     def as_deformation(self, tol: float = 1e-8) -> Deformation:
-        if self.kind is HierarchyKind.COMBINED:
-            return Deformation(
-                self.kind, self.frame, self.u_series, self.w_series, tol=tol
-            )
-        if self.kind is HierarchyKind.STANDARD:
-            return Deformation(self.kind, self.frame, self.u_series, tol=tol)
-        return Deformation(self.kind, self.frame, self.u_series, tol=tol)
+        w = self.w_series if self.kind is HierarchyKind.COMBINED else None
+        return Deformation(self.kind, self.frame, self.u_series, w, tol=tol)
 
     def to_obj(self):
         return {
@@ -490,26 +485,33 @@ def extract_solution(
     and ``W_beta = p_plus E_beta z^{-1} p_plus^{-1}`` truncated to
     ``[-1, depth-1]``.  The result is invariant (to factorization tolerance)
     under shifting every entry of l by the same integer, since the central
-    twist cancels in the conjugated loop.
+    twist cancels in the conjugated loop.  ``depth`` defaults to M; beyond
+    2M (or the stored range of the plus factor) it raises
+    :class:`WindowUnderflow`.
     """
     frame = frame or w.frame
-    depth = depth or w.params.M
     M = w.params.M
-    n = frame.n
-    u = w.u_minus.to_series("z", (-2 * M, 0))
-    # the plus factor is only needed to conjugation depth
-    p_full = w.p_plus.to_series("zinv", (0, w.p_plus.N))
-    p = p_full.truncated(0, 2 * M) if p_full.hi > 2 * M else p_full
-    u_inv = u.invert()
-    p_inv = p.invert()
+    depth = M if depth is None else depth
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    if depth > min(2 * M, w.p_plus.N):
+        raise WindowUnderflow(
+            f"depth {depth} exceeds the exact range {min(2 * M, w.p_plus.N)} "
+            "of the factorization"
+        )
+    n, K = frame.n, depth + 1
+    # graded stacks on axis 0, one slot per factor: u_minus at z^{-d}, p_plus at z^d
+    fac = np.array([[w.u_minus.coeff(-d), w.p_plus.coeff(d)] for d in range(K)])
+    basis = np.array(frame.complex_basis(), dtype=complex)
+    # axes (d, factor, alpha): u E_a u^{-1} at z^{-d}; p E_a z^{-1} p^{-1} at z^{d-1}
+    dressed = _graded_product(fac[:, :, None] @ basis, _graded_inverse(fac)[:, :, None])
     u_series, w_series = [], []
-    for alpha in range(1, frame.r + 1):
-        e0 = frame.generator_series(alpha, 0, "z", numeric=True)
-        ew = frame.generator_series(alpha, -1, "zinv", numeric=True)
-        ue = u.mul(_pad_total(e0, u.lo - u.hi, 0)).mul(u_inv)
-        u_series.append(ue.truncated(-depth, 0))
-        we = p.mul(_pad_total(ew, -1, p.hi - 1)).mul(p_inv)
-        w_series.append(we.truncated(-1, depth - 1))
+    for a in range(frame.r):
+        ue, we = dressed[:, 0, a].tolist(), dressed[:, 1, a].tolist()
+        u_series.append(LoopSeries(n, {-d: c for d, c in enumerate(ue)}, (-depth, 0), "z"))
+        w_series.append(
+            LoopSeries(n, {d - 1: c for d, c in enumerate(we)}, (-1, depth - 1), "zinv")
+        )
     provenance = {
         "l": list(w.l),
         "flows": w.flows.to_obj(),
@@ -526,8 +528,38 @@ def extract_solution(
     )
 
 
-def _pad_total(series: LoopSeries, lo: int, hi: int) -> LoopSeries:
-    return series.widened(lo=min(lo, series.lo), hi=max(hi, series.hi))
+def _graded_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of the one-sided series ``sum_d a[d] x^d`` to the same depth,
+    by back-substitution: ``b[t] = -b[0] sum_{s=1..t} a[s] b[t-s]``.
+
+    Axis 0 is the grading; axes between it and the matrix axes index
+    independent series.  Each step's sum is one product of the block row
+    ``[a_t .. a_1]`` with the block column ``[b_0; ..; b_{t-1}]``.
+    """
+    K, n = len(a), a.shape[-1]
+    row = np.concatenate(a[::-1], axis=-1)
+    col = np.zeros(a.shape[1:-2] + (K * n, n), dtype=a.dtype)
+    b0 = np.linalg.inv(a[0])
+    col[..., :n, :] = b0
+    for t in range(1, K):
+        acc = row[..., (K - 1 - t) * n : (K - 1) * n] @ col[..., : t * n, :]
+        col[..., t * n : (t + 1) * n, :] = -b0 @ acc
+    return np.moveaxis(col.reshape(a.shape[1:-2] + (K, n, n)), -3, 0)
+
+
+def _graded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy product of two one-sided series, truncated to their common
+    depth ``len(a) == len(b)``; ``b`` broadcasts against ``a``.
+
+    Coefficient ``a_i`` meets ``[b_0 .. b_{K-1-i}]`` laid out as one block
+    row, and the product accumulates into the block row of the result.
+    """
+    K, n = len(a), a.shape[-1]
+    row = np.concatenate(b, axis=-1)
+    out = np.zeros(a.shape[1:-1] + (K * n,), dtype=a.dtype)
+    for i in range(K):
+        out[..., i * n :] += a[i] @ row[..., : (K - i) * n]
+    return np.moveaxis(out.reshape(a.shape[1:-1] + (K, n)), -2, 0)
 
 
 def reduce_subhierarchy(w: WaveMatrixPair, target) -> HierarchySolution:
@@ -618,6 +650,8 @@ def fd_verify(
     leading h^2 truncation term.  A perturbed point outside the big cell
     marks the check inconclusive rather than failed.
     """
+    if not 0 < h < float("inf"):
+        raise ValueError(f"finite-difference step must be positive and finite, got {h}")
     params = params or SolverParams()
     flows = flows if isinstance(flows, FlowRecord) else FlowRecord(flows)
     l = l if isinstance(l, ExponentVector) else ExponentVector(l)

@@ -166,6 +166,24 @@ class TestExitCodes:
         assert code == 2 and "seed" in err
 
 
+class TestZeroValuedFlags:
+    # a zero flag must reach validation, not fall back to the config value
+    @pytest.mark.parametrize(
+        "flag,needle",
+        [("--depth-N", "depths"), ("--depth-M", "depths"), ("--tol-fact", "fact_tol")],
+    )
+    def test_solve_flag_zero_exit_2(self, capsys, cfg_file, flag, needle):
+        code, out, err = run(capsys, "solve", "--config", cfg_file(SOLVE_CFG), flag, "0")
+        assert code == 2 and needle in err and out == ""
+
+    def test_fd_step_zero_exit_2(self, capsys, cfg_file):
+        code, out, err = run(
+            capsys, "verify", "--config", cfg_file(SOLVE_CFG), "--checks", "lax:1,1",
+            "--fd-step", "0",
+        )
+        assert code == 2 and "step" in err and out == ""
+
+
 class TestParseChecks:
     def test_grammar(self):
         assert parse_checks(["lax:2,1"]) == [("lax", 2, 1)]

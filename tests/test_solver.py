@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from looplax.errors import (
     AliasingDetected,
     BigCellViolation,
     FlowSupportViolation,
     IndexOutOfRange,
+    WindowUnderflow,
 )
 from looplax.hierarchy import HierarchyKind, akns_frame, cutoff, make_frame
 from looplax.linearize import (
@@ -18,6 +20,7 @@ from looplax.linearize import (
 from looplax.solver import (
     AnnulusLoop,
     SolverParams,
+    _flow_grid_values,
     birkhoff_factorize,
     build_wave_pair,
     delta_twist,
@@ -78,6 +81,19 @@ class TestGamma:
     def test_flow_degree_cap(self):
         with pytest.raises(IndexOutOfRange):
             gamma_eval(FlowRecord({"9,1": 0.1}), FRAME, 16, 128)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "unipotent"])
+    @pytest.mark.parametrize("n,G", [(2, 128), (3, 256), (3, 512)])
+    def test_batched_exponential_matches_pointwise(self, kind, n, G):
+        # one expm over the (G, n, n) stack must equal the per-point loop bit for bit
+        frame = make_frame(kind, n)
+        flows = FlowRecord({"1,1": 0.3, "-1,1": 0.1, f"2,{frame.r}": 0.05j})
+        basis = [np.array(m, dtype=complex) for m in frame.complex_basis()]
+        z = np.exp(2j * np.pi * np.arange(G) / G)
+        h = sum(np.einsum("g,ij->gij", v * z**m, basis[a - 1]) for (m, a), v in flows.items())
+        for sign in (1.0, -1.0):
+            pointwise = np.stack([expm(sign * h[j]) for j in range(G)])
+            assert np.array_equal(_flow_grid_values(flows, frame, G, sign), pointwise)
 
 
 class TestDeltaTwist:
@@ -285,6 +301,87 @@ class TestExtractSolution:
 
         diff = m_conn.project(Region.LT0) - c
         assert diff.max_abs() < 1e-6
+
+
+def reference_dressing(w, depth):
+    """The dressing through window-checked LoopSeries algebra: an oracle
+    for the coefficient-array kernels of extract_solution."""
+    M, frame = w.params.M, w.frame
+    u = w.u_minus.to_series("z", (-2 * M, 0))
+    p = w.p_plus.to_series("zinv", (0, w.p_plus.N)).truncated(0, 2 * M)
+    u_inv, p_inv = u.invert(), p.invert()
+    us, ws = [], []
+    for alpha in range(1, frame.r + 1):
+        e0 = frame.generator_series(alpha, 0, "z", numeric=True).widened(lo=-2 * M)
+        ew = frame.generator_series(alpha, -1, "zinv", numeric=True).widened(hi=2 * M - 1)
+        us.append(u.mul(e0).mul(u_inv).truncated(-depth, 0))
+        ws.append(p.mul(ew).mul(p_inv).truncated(-1, depth - 1))
+    return us, ws
+
+
+class TestArrayDressing:
+    @pytest.mark.parametrize(
+        "n,N,M,grid,seed",
+        [(2, 16, 12, 128, 41), (3, 24, 24, 128, 42)],
+    )
+    def test_matches_loop_series_reference(self, n, N, M, grid, seed):
+        frame = make_frame("diagonal", n)
+        params = SolverParams(N=N, M=M, grid=grid)
+        g = random_loop(n, N, 0.1, seed=seed)
+        w = build_wave_pair(g, [0] * n, {"1,1": 0.1, "-1,1": 0.05}, frame, params)
+        for depth in (1, M, 2 * M):
+            sol = extract_solution(w, depth=depth)
+            ref_u, ref_w = reference_dressing(w, depth)
+            for got, ref in zip(sol.u_series + sol.w_series, ref_u + ref_w):
+                assert got.window == ref.window and got.direction == ref.direction
+                assert got.support() == ref.support()
+                assert (got - ref).max_abs() <= 1e-13, (depth, (got - ref).max_abs())
+
+    @pytest.mark.parametrize("kind,n", [("diagonal", 2), ("diagonal", 3), ("unipotent", 3)])
+    def test_identity_loop_gives_frame_exactly(self, kind, n):
+        frame = make_frame(kind, n)
+        w = build_wave_pair(AnnulusLoop.identity(n, 2), [0] * n, {"1,1": 0.2}, frame, PARAMS)
+        sol = extract_solution(w)
+        for alpha, (u, ws) in enumerate(zip(sol.u_series, sol.w_series), start=1):
+            e = tuple(tuple(complex(x) for x in row) for row in frame.generator(alpha))
+            assert u.support() == [0] and u.coeff(0) == e
+            assert ws.support() == [-1] and ws.coeff(-1) == e
+
+    def test_depth_beyond_twice_m_underflows(self):
+        w = small_pair(seed=43)
+        assert extract_solution(w, depth=2 * PARAMS.M).window == (-24, 23)
+        with pytest.raises(WindowUnderflow):
+            extract_solution(w, depth=2 * PARAMS.M + 1)
+
+    def test_depth_zero_is_honoured(self):
+        sol = extract_solution(small_pair(seed=44), depth=0)
+        assert sol.u_series[0].window == (0, 0)
+        assert sol.w_series[0].window == (-1, -1)
+
+
+class TestParamValidation:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"N": 0},
+            {"M": 0},
+            {"fact_tol": 0.0},
+            {"cond_max": -1.0},
+            {"tail_tol": float("nan")},
+            {"fact_tol": float("inf")},
+        ],
+    )
+    def test_rejects_degenerate_params(self, kw):
+        with pytest.raises(ValueError):
+            SolverParams(**kw)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_fd_verify_rejects_bad_step(self, h):
+        with pytest.raises(ValueError):
+            fd_verify(
+                AnnulusLoop.identity(2, 2), [0, 0], FRAME, {"1,1": 0.1},
+                checks=[("lax", 1, 1)], h=h, params=PARAMS,
+            )
 
 
 class TestFdVerify:
