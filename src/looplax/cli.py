@@ -9,6 +9,7 @@ byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import sys
@@ -33,7 +34,6 @@ from .solver import (
     build_wave_pair,
     extract_solution,
     fd_verify,
-    provenance_hash,
     random_loop,
     reduce_subhierarchy,
 )
@@ -88,7 +88,12 @@ def load_frame(desc) -> CommutativeFrame:
 def load_loop(desc, n: int, N: int, seed: int | None) -> AnnulusLoop:
     if desc in (None, "identity"):
         return AnnulusLoop.identity(n, 0)
-    if isinstance(desc, dict) and "random" in desc:
+    if not isinstance(desc, dict) or not isinstance(desc.get("random", {}), dict):
+        raise ValueError(
+            "g must be \"identity\", {\"random\": {\"eps\": ...}} or a table "
+            f"of Fourier coefficients keyed by frequency, not {desc!r}"
+        )
+    if "random" in desc:
         eps = float(desc["random"].get("eps", 0.1))
         if seed is None:
             raise ValueError("random loops need --seed (or config 'seed')")
@@ -121,6 +126,8 @@ def _solver_setup(cfg, args):
     frame_cfg.setdefault("n", n)
     frame = load_frame(frame_cfg)
     tolerances = cfg.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise ValueError("tolerances must be a JSON object")
     params = SolverParams(
         N=int(cfg.get("N", 16) if args.depth_N is None else args.depth_N),
         M=int(cfg.get("M", 12) if args.depth_M is None else args.depth_M),
@@ -146,7 +153,13 @@ def _solver_setup(cfg, args):
             "seed": seed,
         }
     )
-    return n, frame, params, g, l, flows, prov
+    return frame, params, g, l, flows, prov
+
+
+def provenance_hash(obj) -> str:
+    """Deterministic hash of a canonical-JSON view of solver inputs."""
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +254,14 @@ def cmd_derive_akns(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    """``solve``, and ``reduce`` when ``--target`` names a sub-hierarchy."""
     cfg = _read_config(args)
-    n, frame, params, g, l, flows, prov = _solver_setup(cfg, args)
+    frame, params, g, l, flows, prov = _solver_setup(cfg, args)
     pair = build_wave_pair(g, l, flows, frame, params)
-    sol = extract_solution(pair, frame)
+    if getattr(args, "target", None):
+        sol = reduce_subhierarchy(pair, HierarchyKind(args.target))
+    else:
+        sol = extract_solution(pair, frame)
     obj = sol.to_obj()
     obj["provenance"]["config_hash"] = prov
     _emit(obj, args.format, _solution_text)
@@ -253,25 +270,18 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _read_config(args)
-    n, frame, params, g, l, flows, prov = _solver_setup(cfg, args)
     checks = parse_checks(args.checks or cfg.get("checks", []))
     if not checks:
         raise ValueError("verify needs --checks (e.g. lax:1,1 zc:-1,1:1,1)")
+    return _verify(cfg, args, checks)
+
+
+def _verify(cfg, args, checks) -> int:
+    frame, params, g, l, flows, prov = _solver_setup(cfg, args)
     report = fd_verify(g, l, frame, flows, checks, h=float(args.fd_step), params=params)
     obj = report.to_obj()
     obj["provenance"] = {"config_hash": prov}
     _emit(obj, args.format, _verify_text)
-    return 0
-
-
-def cmd_reduce(args) -> int:
-    cfg = _read_config(args)
-    n, frame, params, g, l, flows, prov = _solver_setup(cfg, args)
-    pair = build_wave_pair(g, l, flows, frame, params)
-    sol = reduce_subhierarchy(pair, HierarchyKind(args.target))
-    obj = sol.to_obj()
-    obj["provenance"]["config_hash"] = prov
-    _emit(obj, args.format, _solution_text)
     return 0
 
 
@@ -284,13 +294,7 @@ def cmd_zc_check(args) -> int:
     if not pairs:
         raise ValueError("zc-check needs flow pairs (config 'pairs' or --checks zc:...)")
     if mode == "numeric":
-        n, frame, params, g, l, flows, prov = _solver_setup(cfg, args)
-        checks = [("zc", *p) for p in pairs]
-        report = fd_verify(g, l, frame, flows, checks, h=float(args.fd_step), params=params)
-        obj = report.to_obj()
-        obj["provenance"] = {"config_hash": prov}
-        _emit(obj, args.format, _verify_text)
-        return 0
+        return _verify(cfg, args, [("zc", *p) for p in pairs])
     # symbolic mode: seeded exact dressing, Lax-substituted derivatives
     n = int(args.n or cfg.get("n", 2))
     depth = int(cfg.get("depth", 4))
@@ -361,7 +365,10 @@ def _read_config(args) -> dict:
     if not getattr(args, "config", None):
         return {}
     with open(args.config) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("zc-check", cmd_zc_check),
         ("solve", cmd_solve),
         ("verify", cmd_verify),
-        ("reduce", cmd_reduce),
+        ("reduce", cmd_solve),
     ):
         sp = sub.add_parser(name)
         common(sp)

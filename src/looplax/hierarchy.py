@@ -32,6 +32,7 @@ from .loops import (
     Region,
     exp_neg,
     mat_add,
+    mat_complex,
     mat_eye,
     mat_inv,
     mat_is_zero,
@@ -131,11 +132,11 @@ class CommutativeFrame:
     ) -> LoopSeries:
         mat = self.generator(alpha)
         if numeric:
-            mat = tuple(tuple(complex(x) for x in row) for row in mat)
+            mat = mat_complex(mat)
         return LoopSeries.monomial(mat, power, direction=direction)
 
     def complex_basis(self):
-        return [tuple(tuple(complex(x) for x in row) for row in m) for m in self.basis]
+        return [mat_complex(m) for m in self.basis]
 
     def __eq__(self, other):
         return (
@@ -231,13 +232,7 @@ def _mat_close(a, b, tol: float) -> bool:
 
 def _frame_matrix_like(frame_mat, series: LoopSeries):
     """The frame matrix in the scalar backend of ``series``."""
-    for m in series.coeffs.values():
-        for row in m:
-            for x in row:
-                if isinstance(x, (complex, float)):
-                    return tuple(tuple(complex(v) for v in row2) for row2 in frame_mat)
-                return frame_mat
-    return frame_mat
+    return mat_complex(frame_mat) if series.numeric else frame_mat
 
 
 class Deformation:
@@ -337,24 +332,7 @@ class Deformation:
         The windows are honest: the trivial generators vanish outside their
         single power, so declaring depth costs nothing.
         """
-        n = frame.n
-        if kind is HierarchyKind.STRICT:
-            series = [
-                LoopSeries.monomial(frame.generator(a), 1, (1 - depth, 1))
-                for a in range(1, frame.r + 1)
-            ]
-            return cls(kind, frame, series)
-        series = [
-            LoopSeries.monomial(frame.generator(a), 0, (-depth, 0))
-            for a in range(1, frame.r + 1)
-        ]
-        if kind is HierarchyKind.STANDARD:
-            return cls(kind, frame, series)
-        series_w = [
-            LoopSeries.monomial(frame.generator(a), -1, (-1, depth - 1), direction="zinv")
-            for a in range(1, frame.r + 1)
-        ]
-        return cls(kind, frame, series, series_w)
+        return deform(kind, frame, depth=depth)
 
 
 def _check_witness(witness: LoopSeries, group: str):
@@ -379,6 +357,17 @@ def _check_witness(witness: LoopSeries, group: str):
             raise ShapeViolation(f"witness constant term not invertible: {exc}") from exc
 
 
+def _dressed(frame: CommutativeFrame, witness, power: int, window, direction: str = "z"):
+    """The generators ``E_a z^power`` on ``window``, conjugated by
+    ``witness`` (in its scalar backend) when one is given."""
+    numeric = witness is not None and witness.numeric
+    series = [
+        LoopSeries.monomial(mat_complex(e) if numeric else e, power, window, direction)
+        for e in frame.basis
+    ]
+    return series if witness is None else [witness.conjugate(e) for e in series]
+
+
 def deform(
     kind: HierarchyKind,
     frame: CommutativeFrame,
@@ -393,60 +382,36 @@ def deform(
     Strict: ``witness`` with invertible constant term gives V = g (Ez) g^{-1}.
     Combined: ``witness`` (may be None for the trivial U part) plus
     ``witness_w`` with invertible constant term and positive tail for
-    W = x (E z^{-1}) x^{-1}.  Missing witnesses default to trivial parts.
+    W = x (E z^{-1}) x^{-1}.  Missing witnesses default to trivial parts,
+    exact on ``depth`` powers.
     """
-    n = frame.n
-    if kind is HierarchyKind.STANDARD or (kind is HierarchyKind.COMBINED):
-        if witness is None:
-            series = [
-                LoopSeries.monomial(frame.generator(a), 0, (-depth, 0))
-                for a in range(1, frame.r + 1)
-            ]
-        else:
-            _check_witness(witness, "g_neg")
-            series = []
-            for a in range(1, frame.r + 1):
-                e = LoopSeries.monomial(
-                    _frame_matrix_like(frame.generator(a), witness), 0, witness.window
-                )
-                series.append(witness.conjugate(e))
-        if kind is HierarchyKind.STANDARD:
-            return Deformation(kind, frame, series, witness=witness, tol=tol)
-        if witness_w is None:
-            series_w = [
-                LoopSeries.monomial(
-                    frame.generator(a), -1, (-1, depth - 1), direction="zinv"
-                )
-                for a in range(1, frame.r + 1)
-            ]
-        else:
-            _check_witness(witness_w, "g_geq")
-            series_w = []
-            for a in range(1, frame.r + 1):
-                e = LoopSeries.monomial(
-                    _frame_matrix_like(frame.generator(a), witness_w),
-                    -1,
-                    (-1, witness_w.hi - 1),
-                    direction="zinv",
-                )
-                series_w.append(witness_w.conjugate(e))
-        return Deformation(
-            kind, frame, series, series_w, witness=witness, witness_w=witness_w, tol=tol
-        )
     if kind is HierarchyKind.STRICT:
         if witness is None:
-            return Deformation.trivial(kind, frame, depth)
-        _check_witness(witness, "g_leq")
-        series = []
-        for a in range(1, frame.r + 1):
-            e = LoopSeries.monomial(
-                _frame_matrix_like(frame.generator(a), witness),
-                1,
-                (witness.lo + 1, 1),
-            )
-            series.append(witness.conjugate(e))
+            window = (1 - depth, 1)
+        else:
+            _check_witness(witness, "g_leq")
+            window = (witness.lo + 1, 1)
+        series = _dressed(frame, witness, 1, window)
         return Deformation(kind, frame, series, witness=witness, tol=tol)
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in (HierarchyKind.STANDARD, HierarchyKind.COMBINED):
+        raise ValueError(f"unknown kind {kind!r}")
+    if witness is None:
+        window = (-depth, 0)
+    else:
+        _check_witness(witness, "g_neg")
+        window = witness.window
+    series = _dressed(frame, witness, 0, window)
+    if kind is HierarchyKind.STANDARD:
+        return Deformation(kind, frame, series, witness=witness, tol=tol)
+    if witness_w is None:
+        hi = depth
+    else:
+        _check_witness(witness_w, "g_geq")
+        hi = witness_w.hi
+    series_w = _dressed(frame, witness_w, -1, (-1, hi - 1), "zinv")
+    return Deformation(
+        kind, frame, series, series_w, witness=witness, witness_w=witness_w, tol=tol
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -469,19 +434,21 @@ def _total_view(series: LoopSeries, direction: str, lo: int, hi: int) -> LoopSer
     return series.widened(lo, hi)
 
 
+def _total_view_for(x: LoopSeries, target: LoopSeries) -> LoopSeries:
+    """A total, nonzero ``x`` in the algebra of ``target``, on the window
+    that its products with ``target`` can use in full."""
+    supp = x.support()
+    if target.direction == "z":
+        return _total_view(x, "z", target.lo + supp[-1] - target.hi, supp[-1])
+    return _total_view(x, "zinv", supp[0], target.hi + supp[0] - target.lo)
+
+
 def _bracket_total_with(cut: LoopSeries, target: LoopSeries) -> LoopSeries:
     """[cut, target] where ``cut`` is total; exact on the largest window the
     target's own truncation permits."""
-    supp = cut.support()
-    if not supp:
+    if cut.is_zero():
         return LoopSeries.zeros(target.n, target.window, target.direction)
-    if target.direction == "z":
-        hi_c = max(supp)
-        view = _total_view(cut, "z", target.lo + hi_c - target.hi, hi_c)
-    else:
-        lo_c = min(supp)
-        view = _total_view(cut, "zinv", lo_c, target.hi + lo_c - target.lo)
-    return view.bracket(target)
+    return _total_view_for(cut, target).bracket(target)
 
 
 def _bracket_totals(x: LoopSeries, y: LoopSeries, direction: str) -> LoopSeries:
@@ -500,6 +467,24 @@ def _bracket_totals(x: LoopSeries, y: LoopSeries, direction: str) -> LoopSeries:
     return xv.bracket(yv)
 
 
+def _split(d: Deformation, m: int):
+    """The splitting behind flow degree ``m``: ``(family, shift, region)``.
+
+    The cut-off is the projection of ``target(family) z^shift`` onto
+    ``region``, the corollary part minus its projection onto the
+    complement.  Plain flows need m >= 0, strict ones m >= 1.
+    """
+    if d.kind is HierarchyKind.STRICT:
+        if m < 1:
+            raise IndexOutOfRange("strict hierarchy flows need m >= 1")
+        return "v", m - 1, Region.GT0
+    if m >= 0:
+        return "u", m, Region.GEQ0
+    if d.kind is HierarchyKind.STANDARD:
+        raise IndexOutOfRange("plain hierarchy flows need m >= 0")
+    return "w", m + 1, Region.LT0
+
+
 def cutoff(d: Deformation, m: int, alpha: int) -> LoopSeries:
     """The projected dressed generator entering the Lax equations.
 
@@ -510,40 +495,16 @@ def cutoff(d: Deformation, m: int, alpha: int) -> LoopSeries:
     The result is finitely supported and fully known (zero outside its
     support by construction).
     """
-    if d.kind is HierarchyKind.STANDARD:
-        if m < 0:
-            raise IndexOutOfRange("plain hierarchy flows need m >= 0")
-        return d.target("u", alpha).shift(m).project(Region.GEQ0)
-    if d.kind is HierarchyKind.STRICT:
-        if m < 1:
-            raise IndexOutOfRange("strict hierarchy flows need m >= 1")
-        return d.target("v", alpha).shift(m - 1).project(Region.GT0)
-    if m >= 0:
-        return d.target("u", alpha).shift(m).project(Region.GEQ0)
-    return d.target("w", alpha).shift(m + 1).project(Region.LT0)
+    family, shift, region = _split(d, m)
+    return d.target(family, alpha).shift(shift).project(region)
 
 
 def corollary_part(d: Deformation, m: int, alpha: int) -> LoopSeries:
     """The complementary part of the cut-off (A for the z-graded families,
     D for the strict family, and the mirrored part for combined negative
     flows).  Also finitely supported within the window."""
-    if d.kind is HierarchyKind.STANDARD or (d.kind is HierarchyKind.COMBINED and m >= 0):
-        if m < 0:
-            raise IndexOutOfRange("A parts need m >= 0")
-        return -(d.target("u", alpha).shift(m).project(Region.LT0))
-    if d.kind is HierarchyKind.STRICT:
-        if m < 1:
-            raise IndexOutOfRange("D parts need m >= 1")
-        return -(d.target("v", alpha).shift(m - 1).project(Region.LEQ0))
-    return -(d.target("w", alpha).shift(m + 1).project(Region.GEQ0))
-
-
-def _flow_family(d: Deformation, m: int) -> str:
-    if d.kind is HierarchyKind.STRICT:
-        return "v"
-    if d.kind is HierarchyKind.COMBINED and m < 0:
-        return "w"
-    return "u"
+    family, shift, region = _split(d, m)
+    return -(d.target(family, alpha).shift(shift).project(region.complement))
 
 
 def lax_rhs(d: Deformation, m: int, alpha: int, family: str, idx: int) -> LoopSeries:
@@ -584,26 +545,18 @@ def cutoff_lax_derivative(
     of z, so the derivative of the cut-off is the same projection applied to
     ``[cutoff_flow, target] z^{...}``.
     """
-    family = _flow_family(d, cut_m)
+    family, shift, region = _split(d, cut_m)
     rhs = lax_rhs(d, flow_m, flow_alpha, family, cut_alpha)
-    if d.kind is HierarchyKind.STRICT:
-        return rhs.shift(cut_m - 1).project(Region.GT0)
-    if d.kind is HierarchyKind.COMBINED and cut_m < 0:
-        return rhs.shift(cut_m + 1).project(Region.LT0)
-    return rhs.shift(cut_m).project(Region.GEQ0)
+    return rhs.shift(shift).project(region)
 
 
 def corollary_lax_derivative(
     d: Deformation, flow_m: int, flow_alpha: int, part_m: int, part_alpha: int
 ) -> LoopSeries:
     """Flow derivative of a corollary part under the Lax substitution."""
-    family = _flow_family(d, part_m)
+    family, shift, region = _split(d, part_m)
     rhs = lax_rhs(d, flow_m, flow_alpha, family, part_alpha)
-    if d.kind is HierarchyKind.STRICT:
-        return -(rhs.shift(part_m - 1).project(Region.LEQ0))
-    if d.kind is HierarchyKind.COMBINED and part_m < 0:
-        return -(rhs.shift(part_m + 1).project(Region.GEQ0))
-    return -(rhs.shift(part_m).project(Region.LT0))
+    return -(rhs.shift(shift).project(region.complement))
 
 
 def _pair_bracket(c1: LoopSeries, c2: LoopSeries) -> LoopSeries:
@@ -786,19 +739,11 @@ def frame_conjugate(d: Deformation, g0) -> Deformation:
     series_w = [conj(s) for s in d.series_w] if d.series_w is not None else None
     witness = conj(d.witness) if d.witness is not None else None
     witness_w = conj(d.witness_w) if d.witness_w is not None else None
-    numeric = any(isinstance(x, (complex, float)) for x in _first_entries(d))
+    numeric = any(s.numeric for s in d.series)
     return Deformation(
         d.kind, new_frame, series, series_w, witness, witness_w,
         tol=1e-9 if numeric else 0.0,
     )
-
-
-def _first_entries(d: Deformation):
-    for s in d.series:
-        for m in s.coeffs.values():
-            for row in m:
-                yield from row
-            return
 
 
 def _const_exp(mat, exact: bool):
@@ -816,9 +761,7 @@ def _const_exp(mat, exact: bool):
             "frame combination is not nilpotent; the exact backend cannot "
             "represent its exponential (use a numeric deformation)"
         )
-    total, term = mat_eye(n), mat_eye(n)
-    total = tuple(tuple(complex(x) for x in row) for row in total)
-    term = total
+    total = term = mat_complex(mat_eye(n))
     for k in range(1, 60):
         term = mat_smul(1.0 / k, mat_mul(term, mat))
         total = mat_add(total, term)
@@ -846,8 +789,7 @@ def zero_time_normalize(d: Deformation, t0_values) -> Deformation:
         if exact:
             s = mat_add(s, mat_smul(GaussianRational._coerce(v), e))
         else:
-            ec = tuple(tuple(complex(x) for x in row) for row in e)
-            s = mat_add(s, mat_smul(complex(v), ec))
+            s = mat_add(s, mat_smul(complex(v), mat_complex(e)))
     pos = _const_exp(s, exact)
     neg = _const_exp(mat_smul(-1, s), exact)
 

@@ -19,8 +19,8 @@ import enum
 from typing import Mapping
 
 from .errors import IndexOutOfRange, SideMismatch
-from .hierarchy import CommutativeFrame, _total_view
-from .loops import LoopSeries, Region, mat_is_zero, mat_sub
+from .hierarchy import CommutativeFrame, _total_view_for
+from .loops import LoopSeries, Region, mat_eye, mat_is_zero, mat_sub
 from .scalars import DerivationSymbol, DiffPoly
 
 __all__ = [
@@ -207,10 +207,7 @@ class OscillatingMatrix:
             const = k.coeffs.get(0)
             if const is None:
                 return False
-            n = k.n
-            return mat_is_zero(
-                mat_sub(const, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-            )
+            return mat_is_zero(mat_sub(const, mat_eye(k.n)))
         if any(p < 0 for p in k.support()):
             return False
         return 0 in k.coeffs
@@ -233,25 +230,8 @@ class OscillatingMatrix:
         part and typed elements keep their exponent."""
         if self.exponent is not None and not self.exponent.commutes_with_frame(frame):
             raise IndexOutOfRange("exponent vector does not commute with this frame")
-        e = frame.generator_series(
-            alpha,
-            power=0 if self.side is Side.INFINITY else -1,
-            direction=self.side.direction,
-            numeric=self._numeric(),
-        )
-        p = 0 if self.side is Side.INFINITY else -1
-        if self.side is Side.INFINITY:
-            ev = _total_view(e, "z", self.factor.lo + p - self.factor.hi, p)
-        else:
-            ev = _total_view(e, "zinv", p, self.factor.hi + p - self.factor.lo)
+        ev = _generator_view(frame, alpha, 0 if self.side is Side.INFINITY else -1, self.factor)
         return OscillatingMatrix(self.side, self.factor.mul(ev), self.flows, self.exponent)
-
-    def _numeric(self) -> bool:
-        for m in self.factor.coeffs.values():
-            for row in m:
-                for x in row:
-                    return isinstance(x, (complex, float))
-        return False
 
     def derive(
         self,
@@ -270,14 +250,7 @@ class OscillatingMatrix:
             raise IndexOutOfRange(f"frame index {sym.alpha} not in [1..{frame.r}]")
         if dfactor is None:
             dfactor = _derive_series(self.factor, sym)
-        e = frame.generator_series(
-            alpha=sym.alpha, power=sym.m, direction=self.side.direction, numeric=self._numeric()
-        )
-        if self.side is Side.INFINITY:
-            ev = _total_view(e, "z", self.factor.lo + sym.m - self.factor.hi, sym.m)
-        else:
-            ev = _total_view(e, "zinv", sym.m, self.factor.hi + sym.m - self.factor.lo)
-        moved = self.factor.mul(ev)
+        moved = self.factor.mul(_generator_view(frame, sym.alpha, sym.m, self.factor))
         return OscillatingMatrix(self.side, dfactor + moved, self.flows, self.exponent)
 
     def __add__(self, other):
@@ -312,6 +285,13 @@ class OscillatingMatrix:
             "flows": self.flows.to_obj(),
             "l": list(self.exponent) if self.exponent is not None else None,
         }
+
+
+def _generator_view(frame: CommutativeFrame, alpha: int, power: int, k: LoopSeries):
+    """``E_alpha z^power`` in the scalar backend and algebra of ``k``, on
+    the window a right product with ``k`` needs."""
+    e = frame.generator_series(alpha, power, k.direction, numeric=k.numeric)
+    return _total_view_for(e, k)
 
 
 def _derive_series(series: LoopSeries, sym: DerivationSymbol) -> LoopSeries:
@@ -357,16 +337,8 @@ def extract_connection(
     kinv = k.invert()
     if dfactor is None:
         dfactor = _derive_series(k, sym)
-    e = frame.generator_series(
-        alpha=sym.alpha, power=sym.m, direction=psi.side.direction, numeric=psi._numeric()
-    )
-    if psi.side is Side.INFINITY:
-        ev = _total_view(e, "z", k.lo + m - k.hi, m)
-        forbidden = Region.LT0
-    else:
-        ev = _total_view(e, "zinv", m, k.hi + m - k.lo)
-        forbidden = Region.GEQ0
+    ev = _generator_view(frame, alpha, m, k)
     m_series = dfactor.mul(kinv) + k.mul(ev).mul(kinv)
-    leak = m_series.project(forbidden)
+    leak = m_series.project(Region.LT0 if psi.side is Side.INFINITY else Region.GEQ0)
     ok = leak.is_zero() if tol == 0.0 else leak.max_abs() <= tol
     return m_series, ok

@@ -52,6 +52,7 @@ __all__ = [
     "mat_trace",
     "mat_inv",
     "mat_is_zero",
+    "mat_complex",
 ]
 
 
@@ -138,6 +139,10 @@ def mat_trace(a):
     for i in range(len(a)):
         t = t + a[i][i]
     return t
+
+
+def mat_complex(a):
+    return tuple(tuple(complex(x) for x in row) for row in a)
 
 
 def mat_is_zero(a) -> bool:
@@ -279,6 +284,14 @@ class LoopSeries:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    @property
+    def numeric(self) -> bool:
+        """Is the scalar backend complex floats?  The first stored coefficient
+        decides; an empty series counts as exact."""
+        for mat in self.coeffs.values():
+            return any(isinstance(x, (complex, float)) for row in mat for x in row)
+        return False
 
     def max_abs(self) -> float:
         """Largest entry magnitude over all stored coefficients (numeric)."""

@@ -23,8 +23,6 @@ are radius independent).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +44,7 @@ from .hierarchy import (
     zc_residual,
 )
 from .linearize import ExponentVector, FlowRecord
-from .loops import LoopSeries
+from .loops import LoopSeries, mat_complex
 
 __all__ = [
     "SolverParams",
@@ -180,7 +178,7 @@ class AnnulusLoop:
         for k in range(-self.N, self.N + 1):
             m = self.coeffs[k + self.N]
             if np.any(m != 0):
-                coeffs[k] = tuple(tuple(complex(x) for x in row) for row in m)
+                coeffs[k] = mat_complex(m)
         if window is None:
             window = (-self.N, self.N)
         return LoopSeries(self.n, coeffs, window, direction)
@@ -221,6 +219,23 @@ def random_loop(n: int, N: int, eps: float, seed: int, rho: float = 0.15, r: flo
 # Flow exponentials and twists
 # ---------------------------------------------------------------------------
 
+def _flow_record(flows, N: int) -> FlowRecord:
+    """The flows as a record, each degree within the N/2 the grid resolves."""
+    flows = FlowRecord(flows)
+    for m, _ in flows.support():
+        if abs(m) > N // 2:
+            raise IndexOutOfRange(f"flow degree {m} exceeds N/2 = {N // 2}")
+    return flows
+
+
+def _exponent_vector(l, n: int) -> ExponentVector:
+    """``l`` as the exponent vector of an n x n twist."""
+    l = ExponentVector(l)
+    if len(l) != n:
+        raise ValueError("exponent vector length differs from loop size")
+    return l
+
+
 def _flow_grid_values(flows: FlowRecord, frame: CommutativeFrame, G: int, sign: float = 1.0):
     """Pointwise gamma(t)^{sign} = exp(sign * sum t_ma E_a z^m) on the grid."""
     n = frame.n
@@ -253,11 +268,7 @@ def gamma_eval(
     """
     if grid_size < 4 * N or grid_size & (grid_size - 1):
         raise ValueError("grid_size must be a power of two with grid_size >= 4N")
-    flows = flows if isinstance(flows, FlowRecord) else FlowRecord(flows)
-    for m, _ in flows.support():
-        if abs(m) > N // 2:
-            raise IndexOutOfRange(f"flow degree {m} exceeds N/2 = {N // 2}")
-    vals = _flow_grid_values(flows, frame, grid_size)
+    vals = _flow_grid_values(_flow_record(flows, N), frame, grid_size)
     loop = AnnulusLoop.from_grid(vals, N)
     if loop.tail_ratio() > tail_tol:
         raise AliasingDetected(
@@ -269,28 +280,22 @@ def gamma_eval(
 def delta_twist(l: ExponentVector, loop: AnnulusLoop) -> AnnulusLoop:
     """Conjugation by the diagonal twist: entry (i, j) of frequency k moves
     to frequency ``k + l_i - l_j``.  The frequency range grows as needed."""
-    l = l if isinstance(l, ExponentVector) else ExponentVector(l)
-    if len(l) != loop.n:
-        raise ValueError("exponent vector length differs from loop size")
-    spread = max(l.l) - min(l.l)
-    N2 = loop.N + spread
+    lv = np.array(_exponent_vector(l, loop.n).l)
+    shifts = lv[:, None] - lv[None, :]
+    N2 = loop.N + int(lv.max() - lv.min())
     out = np.zeros((2 * N2 + 1, loop.n, loop.n), dtype=complex)
-    for k in range(-loop.N, loop.N + 1):
-        m = loop.coeffs[k + loop.N]
-        for i in range(loop.n):
-            for j in range(loop.n):
-                if m[i, j] != 0:
-                    out[k + l.l[i] - l.l[j] + N2, i, j] += m[i, j]
+    i, j = np.indices(shifts.shape)
+    out[np.arange(-loop.N, loop.N + 1)[:, None, None] + shifts + N2, i, j] += loop.coeffs
     return AnnulusLoop(loop.n, out, loop.r)
 
 
-def _twist_grid(values: np.ndarray, l: ExponentVector) -> np.ndarray:
-    """Pointwise delta(l) X delta(-l) on the grid: entrywise phases."""
+def _twist_grid(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Entrywise phases ``z**shifts`` on the grid: ``shifts`` of
+    ``l[:, None] - l[None, :]`` give delta(l) X delta(-l), ``l[:, None]``
+    alone gives delta(l) X."""
     G = values.shape[0]
     z = np.exp(2j * np.pi * np.arange(G) / G)
-    shifts = np.array(l.l)[:, None] - np.array(l.l)[None, :]
-    phase = z[:, None, None] ** shifts[None, :, :]
-    return values * phase
+    return values * z[:, None, None] ** shifts
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +402,24 @@ def build_wave_pair(
     factorization.
     """
     params = params or SolverParams()
-    l = l if isinstance(l, ExponentVector) else ExponentVector(l)
-    flows = flows if isinstance(flows, FlowRecord) else FlowRecord(flows)
-    for m, _ in flows.support():
-        if abs(m) > params.N // 2:
-            raise IndexOutOfRange(f"flow degree {m} exceeds N/2 = {params.N // 2}")
+    l = _exponent_vector(l, g.n)
+    flows = _flow_record(flows, params.N)
+    lv = np.array(l.l)
     G = params.grid
     eye = np.eye(g.n, dtype=complex)
     # subtract Id in coefficient space so the identity loop stays exact
     g_m_id = AnnulusLoop(g.n, g.coeffs.copy(), g.r)
     g_m_id.coeffs[g_m_id.N] = g_m_id.coeffs[g_m_id.N] - eye
     dev = g_m_id.grid_values(G)
-    gam = _flow_grid_values(flows, frame, G)
-    gam_inv = _flow_grid_values(flows, frame, G, sign=-1.0)
-    av = _twist_grid(gam @ dev @ gam_inv, l) + eye
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        gam = _flow_grid_values(flows, frame, G)
+        gam_inv = _flow_grid_values(flows, frame, G, sign=-1.0)
+        av = _twist_grid(gam @ dev @ gam_inv, lv[:, None] - lv[None, :]) + eye
+    if not np.all(np.isfinite(av)):
+        raise ValueError(
+            "conjugated loop has non-finite grid values: a flow value or the "
+            "loop g is too large or not finite"
+        )
     nhat = G // 2 - 1
     aloop = AnnulusLoop.from_grid(av, nhat, g.r)
     if aloop.tail_ratio() > params.tail_tol:
@@ -425,7 +434,7 @@ def build_wave_pair(
     G2 = 2 * G
     uv = u_minus.grid_values(G2)
     pv = p_plus.grid_values(G2)
-    dg = _twist_grid_left(_flow_grid_values(flows, frame, G2), l)
+    dg = _twist_grid(_flow_grid_values(flows, frame, G2), lv[:, None])
     gv2 = g.grid_values(G2)
     psi = uv @ dg
     phi = pv @ dg
@@ -437,14 +446,6 @@ def build_wave_pair(
         "tail_ratio": aloop.tail_ratio(),
     }
     return WaveMatrixPair(u_minus, p_plus, l, flows, g, frame, params, diagnostics)
-
-
-def _twist_grid_left(values: np.ndarray, l: ExponentVector) -> np.ndarray:
-    """Pointwise delta(l) X on the grid (row phases only)."""
-    G = values.shape[0]
-    z = np.exp(2j * np.pi * np.arange(G) / G)
-    phase = z[:, None, None] ** np.array(l.l)[None, :, None]
-    return values * phase
 
 
 @dataclass(frozen=True)
@@ -569,34 +570,21 @@ def reduce_subhierarchy(w: WaveMatrixPair, target) -> HierarchySolution:
     Strict target: requires vanishing nonnegative flows; returns the V
     family obtained from W by the power reindexing z -> 1/z.
     """
-    target = HierarchyKind(target) if not isinstance(target, HierarchyKind) else target
+    target = HierarchyKind(target)
+    if target is HierarchyKind.COMBINED:
+        raise ValueError(f"cannot reduce to {target!r}")
+    strict = target is HierarchyKind.STRICT
+    bad = [(m, a) for (m, a), v in w.flows.items() if (m >= 0) == strict and v != 0]
+    if bad:
+        raise FlowSupportViolation(
+            f"nonzero {'nonnegative' if strict else 'negative'} flows {bad}"
+        )
     sol = extract_solution(w)
-    if target is HierarchyKind.STANDARD:
-        bad = [(m, a) for (m, a), v in w.flows.items() if m < 0 and v != 0]
-        if bad:
-            raise FlowSupportViolation(f"nonzero negative flows {bad}")
-        return HierarchySolution(
-            HierarchyKind.STANDARD,
-            sol.frame,
-            sol.u_series,
-            None,
-            sol.window,
-            dict(sol.provenance, reduced="standard"),
-        )
-    if target is HierarchyKind.STRICT:
-        bad = [(m, a) for (m, a), v in w.flows.items() if m >= 0 and v != 0]
-        if bad:
-            raise FlowSupportViolation(f"nonzero nonnegative flows {bad}")
-        v_series = tuple(s.reindexed() for s in sol.w_series)
-        return HierarchySolution(
-            HierarchyKind.STRICT,
-            sol.frame,
-            v_series,
-            None,
-            sol.window,
-            dict(sol.provenance, reduced="strict"),
-        )
-    raise ValueError(f"cannot reduce to {target!r}")
+    series = tuple(s.reindexed() for s in sol.w_series) if strict else sol.u_series
+    return HierarchySolution(
+        target, sol.frame, series, None, sol.window,
+        dict(sol.provenance, reduced=target.value),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +641,8 @@ def fd_verify(
     if not 0 < h < float("inf"):
         raise ValueError(f"finite-difference step must be positive and finite, got {h}")
     params = params or SolverParams()
-    flows = flows if isinstance(flows, FlowRecord) else FlowRecord(flows)
-    l = l if isinstance(l, ExponentVector) else ExponentVector(l)
+    flows = FlowRecord(flows)
+    l = ExponentVector(l)
     cache: dict = {}
 
     def solve_at(fl: FlowRecord) -> HierarchySolution:
@@ -717,8 +705,3 @@ def fd_verify(
             inconclusive.append(key)
     return VerifyReport(residuals, inconclusive, params.to_obj())
 
-
-def provenance_hash(obj) -> str:
-    """Deterministic hash of a canonical-JSON view of solver inputs."""
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()

@@ -166,6 +166,42 @@ class TestExitCodes:
         assert code == 2 and "seed" in err
 
 
+class TestMalformedConfig:
+    # a malformed config must exit 2 with its cause named: not a traceback,
+    # a silent success or an opaque failure deep in the solver
+    def test_top_level_not_an_object(self, capsys, cfg_file):
+        code, out, err = run(capsys, "solve", "--config", cfg_file([1, 2]))
+        assert code == 2 and "JSON object" in err and out == ""
+
+    @pytest.mark.parametrize("g", [[1, 2], {"random": 5}])
+    def test_unknown_loop_spec(self, capsys, cfg_file, g):
+        code, out, err = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, g=g)))
+        assert code == 2 and "g must be" in err and out == ""
+
+    def test_tolerances_not_an_object(self, capsys, cfg_file):
+        cfg = dict(SOLVE_CFG, tolerances=[1e-10])
+        code, out, err = run(capsys, "solve", "--config", cfg_file(cfg))
+        assert code == 2 and "tolerances" in err and out == ""
+
+    def test_wrong_length_l(self, capsys, cfg_file):
+        code, out, err = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, l=[5])))
+        assert code == 2 and "exponent vector length" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"flows": {"1,1": 1e6}},
+            {"flows": {"1,1": float("nan")}},
+            {"flows": {"1,1": float("inf")}},
+            {"g": {"random": {"eps": float("nan")}}},
+        ],
+        ids=["flow-1e6", "flow-nan", "flow-inf", "eps-nan"],
+    )
+    def test_non_finite_grid_values(self, capsys, cfg_file, change):
+        code, out, err = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, **change)))
+        assert code == 2 and "non-finite" in err and "SVD" not in err and out == ""
+
+
 class TestZeroValuedFlags:
     # a zero flag must reach validation, not fall back to the config value
     @pytest.mark.parametrize(

@@ -179,6 +179,60 @@ class TestCutoff:
         with pytest.raises(IndexOutOfRange):
             cutoff(ds, 0, 1)
 
+    # the splitting written out independently of the code: kind -> m ->
+    # (family, shift, is the power kept by the cut-off?)
+    SPLIT = {
+        HierarchyKind.STANDARD: lambda m: ("u", m, lambda k: k >= 0),
+        HierarchyKind.STRICT: lambda m: ("v", m - 1, lambda k: k > 0),
+        HierarchyKind.COMBINED: lambda m: (
+            ("u", m, lambda k: k >= 0) if m >= 0 else ("w", m + 1, lambda k: k < 0)
+        ),
+    }
+    # every m of the criterion-2 pair lists
+    VALID_M = {
+        HierarchyKind.STANDARD: (0, 1, 2),
+        HierarchyKind.STRICT: (1, 2),
+        HierarchyKind.COMBINED: (-2, -1, 0, 1, 2),
+    }
+
+    @pytest.mark.parametrize("frame_kind, n", [("diagonal", 2), ("unipotent", 3)])
+    @pytest.mark.parametrize("kind", list(HierarchyKind), ids=lambda k: k.value)
+    def test_cutoff_minus_corollary_is_shifted_target(self, rng, frame_kind, n, kind):
+        f = make_frame(frame_kind, n)
+        if kind is HierarchyKind.STANDARD:
+            d = deform(kind, f, random_negative_witness(rng, n, 3))
+        elif kind is HierarchyKind.STRICT:
+            d = deform(kind, f, random_leq_witness(rng, n, 3))
+        else:
+            d = deform(
+                kind, f, random_negative_witness(rng, n, 3), random_geq_witness(rng, n, 3)
+            )
+        zero = ((0,) * n,) * n
+        for m in self.VALID_M[kind]:
+            family, shift, kept = self.SPLIT[kind](m)
+            for alpha in range(1, f.r + 1):
+                target = d.target(family, alpha)
+                cut, cor = cutoff(d, m, alpha), corollary_part(d, m, alpha)
+                assert all(kept(k) for k in cut.support())
+                assert not any(kept(k) for k in cor.support())
+                for k in range(target.lo + shift, target.hi + shift + 1):
+                    a = cut.coeffs.get(k, zero)
+                    b = cor.coeffs.get(k, zero)
+                    diff = tuple(
+                        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+                    )
+                    assert diff == target.coeff(k - shift), (m, alpha, k)
+
+    @pytest.mark.parametrize(
+        "kind, cut_m",
+        [(HierarchyKind.STANDARD, -1), (HierarchyKind.STRICT, 0), (HierarchyKind.STRICT, -1)],
+    )
+    def test_lax_derivatives_reject_out_of_range_cut(self, kind, cut_m):
+        d = Deformation.trivial(kind, akns_frame(), depth=3)
+        for fn in (cutoff_lax_derivative, corollary_lax_derivative):
+            with pytest.raises(IndexOutOfRange):
+                fn(d, 1, 1, cut_m, 1)
+
 
 class TestLaxResidual:
     def test_trivial_solution_flat(self):

@@ -333,6 +333,14 @@ class TestWindows:
         assert x.equals(y) and y.equals(x)
 
 
+class TestBackend:
+    def test_numeric_query(self, rng):
+        assert not LoopSeries.zeros(2, (-1, 0)).numeric
+        assert not LoopSeries.monomial(rand_mat(rng, 2), 0).numeric
+        assert LoopSeries.monomial(((1j, 0), (0, -1j)), 0).numeric
+        assert LoopSeries.monomial(((0, 0.5), (0, 0)), 0).numeric
+
+
 class TestSerialization:
     def test_exact_roundtrip(self, rng):
         from looplax.scalars import decode_scalar

@@ -120,6 +120,21 @@ class TestDeltaTwist:
         out = delta_twist(ExponentVector([3, 1]), g)
         assert out.coeff(2)[0, 1] == 1  # frequency moved by l_1 - l_2 = 2
 
+    def test_matches_entrywise_loop(self):
+        g = random_loop(3, 8, 0.2, seed=6)
+        l = (2, -1, 0)
+        out = delta_twist(l, g)
+        ref = np.zeros_like(out.coeffs)
+        for k in range(-g.N, g.N + 1):
+            for i in range(3):
+                for j in range(3):
+                    ref[k + l[i] - l[j] + out.N, i, j] += g.coeff(k)[i, j]
+        assert out.N == g.N + 3 and np.array_equal(out.coeffs, ref)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="exponent vector length"):
+            delta_twist([1], random_loop(2, 8, 0.2, seed=6))
+
 
 class TestBirkhoff:
     def test_identity(self):
@@ -204,6 +219,17 @@ class TestWavePair:
         rough.coeffs[-1][0, 1] = 0.01  # frequency +nhat
         with pytest.raises(AliasingDetected):
             build_wave_pair(rough, [0, 0], {}, FRAME, PARAMS)
+
+    def test_wrong_length_l_rejected(self):
+        # a length-1 l would otherwise broadcast as the zero twist
+        with pytest.raises(ValueError, match="exponent vector length"):
+            build_wave_pair(random_loop(2, 16, 0.1, seed=7), [5], {"1,1": 0.1}, FRAME, PARAMS)
+
+    @pytest.mark.parametrize("value", [1e6, float("nan"), float("inf")])
+    def test_non_finite_grid_values_rejected(self, value):
+        g = random_loop(2, 16, 0.1, seed=7)
+        with pytest.raises(ValueError, match="non-finite"):
+            build_wave_pair(g, [0, 0], {"1,1": value}, FRAME, PARAMS)
 
 
 class TestExtractSolution:
