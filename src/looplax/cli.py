@@ -180,21 +180,6 @@ def _poly_text(p) -> str:
     return s
 
 
-def _akns_text(obj) -> str:
-    rep = obj["report"]
-    lines = [
-        f"q   = {rep['q']}",
-        f"r   = {rep['r']}",
-        f"u11 = {rep['u11']}",
-        f"u12 = {rep['u12']}",
-        f"u21 = {rep['u21']}",
-        f"u22 = {rep['u22']}",
-        f"{rep['pde_q'][0]} = {rep['pde_q'][1]}",
-        f"{rep['pde_r'][0]} = {rep['pde_r'][1]}",
-    ]
-    return "\n".join(lines)
-
-
 def _fmt_complex(x) -> str:
     re, im = x
     return f"{re:+.6g}{im:+.6g}i"
@@ -237,19 +222,10 @@ def cmd_derive_akns(args) -> int:
     if args.format == "json":
         _emit({"report": rep.to_obj()}, "json", None)
         return 0
-    obj = {
-        "report": {
-            "q": _poly_text(rep.q),
-            "r": _poly_text(rep.r),
-            "u11": _poly_text(rep.u11),
-            "u12": _poly_text(rep.u12),
-            "u21": _poly_text(rep.u21),
-            "u22": _poly_text(rep.u22),
-            "pde_q": ("i*q_t", _poly_text(rep.pde_q[1])),
-            "pde_r": ("i*r_t", _poly_text(rep.pde_r[1])),
-        }
-    }
-    print(_akns_text(obj))
+    names = ("q", "r", "u11", "u12", "u21", "u22")
+    lines = [f"{name:<3} = {_poly_text(getattr(rep, name))}" for name in names]
+    lines += [f"i*{v}_t = {_poly_text(getattr(rep, 'pde_' + v)[1])}" for v in ("q", "r")]
+    print("\n".join(lines))
     return 0
 
 
@@ -261,7 +237,7 @@ def cmd_solve(args) -> int:
     if getattr(args, "target", None):
         sol = reduce_subhierarchy(pair, HierarchyKind(args.target))
     else:
-        sol = extract_solution(pair, frame)
+        sol = extract_solution(pair)
     obj = sol.to_obj()
     obj["provenance"]["config_hash"] = prov
     _emit(obj, args.format, _solution_text)
@@ -334,31 +310,21 @@ def _random_exact_dressing(kind, frame, depth, seed):
     wit = LoopSeries(
         frame.n, {0: eye, **{k: mat() for k in range(-depth, 0)}}, (-depth, 0)
     )
-    if kind is HierarchyKind.STRICT:
-        while True:
-            head = mat()
-            try:
-                wit_k = LoopSeries(
-                    frame.n,
-                    {0: head, **{k: mat() for k in range(-depth, 0)}},
-                    (-depth, 0),
-                )
-                return deform(kind, frame, wit_k)
-            except (errors.ShapeViolation, errors.SingularLeading):
-                continue
     if kind is HierarchyKind.STANDARD:
         return deform(kind, frame, wit)
+    # redraw the strict kind's own witness, or the combined kind's z^{-1}-graded
+    # one, until deform accepts it; `powers` is in RNG draw order (strict: head first)
+    strict = kind is HierarchyKind.STRICT
+    if strict:
+        powers, window, direction = (0, *range(-depth, 0)), (-depth, 0), "z"
+    else:
+        powers, window, direction = range(depth + 1), (0, depth), "zinv"
     while True:
+        drawn = LoopSeries(frame.n, {k: mat() for k in powers}, window, direction)
         try:
-            wit_w = LoopSeries(
-                frame.n,
-                {0: mat(), **{k: mat() for k in range(1, depth + 1)}},
-                (0, depth),
-                direction="zinv",
-            )
-            return deform(kind, frame, wit, wit_w)
+            return deform(kind, frame, drawn) if strict else deform(kind, frame, wit, drawn)
         except (errors.ShapeViolation, errors.SingularLeading):
-            continue
+            pass
 
 
 def _read_config(args) -> dict:

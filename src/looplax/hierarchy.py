@@ -748,7 +748,8 @@ def frame_conjugate(d: Deformation, g0) -> Deformation:
 
 def _const_exp(mat, exact: bool):
     """exp of a constant matrix: finite sum for nilpotent exact input,
-    convergent series for numeric input."""
+    scaling-and-squaring ``scipy.linalg.expm`` for numeric input (imported
+    here, so the exact core needs no scipy)."""
     n = len(mat)
     if exact:
         total, term = mat_eye(n), mat_eye(n)
@@ -761,13 +762,10 @@ def _const_exp(mat, exact: bool):
             "frame combination is not nilpotent; the exact backend cannot "
             "represent its exponential (use a numeric deformation)"
         )
-    total = term = mat_complex(mat_eye(n))
-    for k in range(1, 60):
-        term = mat_smul(1.0 / k, mat_mul(term, mat))
-        total = mat_add(total, term)
-        if max(abs(x) for row in term for x in row) < 1e-18:
-            return total
-    raise ValueError("constant exponential failed to converge")
+    import numpy as np
+    from scipy.linalg import expm
+
+    return mat_complex(expm(np.array(mat, dtype=complex)))
 
 
 def zero_time_normalize(d: Deformation, t0_values) -> Deformation:
@@ -775,7 +773,8 @@ def zero_time_normalize(d: Deformation, t0_values) -> Deformation:
 
     Returns exp(-sum t0_a E_a) U exp(sum t0_a E_a).  The frame matrices
     commute, so for nilpotent frames this is a finite exact exponential; for
-    non-nilpotent frames the values must be numeric.
+    non-nilpotent frames the values must be numeric.  Numeric values give a
+    numeric deformation, whatever the backend of ``d``.
     """
     if d.kind is not HierarchyKind.STANDARD:
         raise IndexOutOfRange("zero-time normalization applies to the plain kind")
@@ -794,6 +793,8 @@ def zero_time_normalize(d: Deformation, t0_values) -> Deformation:
     neg = _const_exp(mat_smul(-1, s), exact)
 
     def conj(series: LoopSeries) -> LoopSeries:
+        if not exact:
+            series = series.map_coeffs(mat_complex)
         p = _frame_matrix_like(pos, series)
         m_ = _frame_matrix_like(neg, series)
         return series.map_coeffs(lambda c: mat_mul(mat_mul(m_, c), p))

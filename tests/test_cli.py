@@ -183,6 +183,11 @@ class TestMalformedConfig:
         code, out, err = run(capsys, "solve", "--config", cfg_file(cfg))
         assert code == 2 and "tolerances" in err and out == ""
 
+    def test_short_g_entry(self, capsys, cfg_file):
+        g = {"0": [[[1], [0, 0]], [[0, 0], [1, 0]]]}
+        code, out, err = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, g=g)))
+        assert code == 2 and "g entry '0'" in err and out == ""
+
     def test_wrong_length_l(self, capsys, cfg_file):
         code, out, err = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, l=[5])))
         assert code == 2 and "exponent vector length" in err and out == ""

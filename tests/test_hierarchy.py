@@ -11,6 +11,7 @@ from looplax.errors import (
 )
 from looplax.hierarchy import (
     Deformation,
+    _const_exp,
     HierarchyKind,
     akns_frame,
     akns_reduce,
@@ -27,7 +28,7 @@ from looplax.hierarchy import (
     zc_residual,
     zero_time_normalize,
 )
-from looplax.loops import LoopSeries, exp_neg, mat_mul
+from looplax.loops import LoopSeries, exp_neg, mat_complex, mat_mul
 from looplax.scalars import DerivationSymbol, DiffPoly, GaussianRational, I
 
 from conftest import gr_eye, rand_mat
@@ -440,6 +441,23 @@ class TestTransport:
         d = deform(HierarchyKind.STANDARD, akns_frame(), random_negative_witness(rng, 2, 3))
         with pytest.raises(ValueError):
             zero_time_normalize(d, [1])
+
+    def test_zero_time_numeric_on_exact_deformation(self):
+        # the frame commutes with itself, so the trivial U comes back, as complex
+        d = Deformation.trivial(HierarchyKind.STANDARD, akns_frame(), depth=2)
+        d2 = zero_time_normalize(d, [0.3])
+        expect = d.series[0].map_coeffs(mat_complex)
+        assert d2.series[0].numeric
+        assert (d2.series[0] - expect).max_abs() < 1e-12
+
+    @pytest.mark.parametrize("t0", [20, 40j])
+    def test_numeric_constant_exponential(self, t0):
+        np = pytest.importorskip("numpy")
+        expm = pytest.importorskip("scipy.linalg").expm
+        x = t0 * np.array(mat_complex(akns_frame().basis[0]))
+        ref = expm(x)
+        got = np.array(_const_exp(mat_complex(x), exact=False))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestTrivialZeroCurvature:

@@ -95,6 +95,16 @@ class TestGamma:
             pointwise = np.stack([expm(sign * h[j]) for j in range(G)])
             assert np.array_equal(_flow_grid_values(flows, frame, G, sign), pointwise)
 
+    @pytest.mark.parametrize("kind,n", [("diagonal", 2), ("diagonal", 3), ("unipotent", 3)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("G", [128, 512])
+    def test_doubled_grid_even_samples(self, kind, n, sign, G):
+        # build_wave_pair takes gamma on the grid from gamma on the doubled grid
+        frame = make_frame(kind, n)
+        flows = FlowRecord({"1,1": 0.3, "-1,1": 0.1, f"2,{frame.r}": 0.05j})
+        doubled = _flow_grid_values(flows, frame, 2 * G, sign)
+        assert np.array_equal(doubled[::2], _flow_grid_values(flows, frame, G, sign))
+
 
 class TestDeltaTwist:
     def test_zero_vector_is_identity(self, rng):
@@ -224,6 +234,17 @@ class TestWavePair:
         # a length-1 l would otherwise broadcast as the zero twist
         with pytest.raises(ValueError, match="exponent vector length"):
             build_wave_pair(random_loop(2, 16, 0.1, seed=7), [5], {"1,1": 0.1}, FRAME, PARAMS)
+
+    def test_two_flow_exponentials_per_solve(self, monkeypatch):
+        calls = []
+
+        def counted(flows, frame, G, sign=1.0):
+            calls.append((G, sign))
+            return _flow_grid_values(flows, frame, G, sign)
+
+        monkeypatch.setattr("looplax.solver._flow_grid_values", counted)
+        small_pair(seed=9)
+        assert sorted(calls) == [(PARAMS.grid, -1.0), (2 * PARAMS.grid, 1.0)]
 
     @pytest.mark.parametrize("value", [1e6, float("nan"), float("inf")])
     def test_non_finite_grid_values_rejected(self, value):
