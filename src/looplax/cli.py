@@ -118,20 +118,25 @@ def parse_checks(items):
     return checks
 
 
-def _solver_setup(cfg, args):
-    n = int(args.n or cfg.get("n", 2))
+def _frame_setup(cfg, args):
+    """The matrix size and the frame of a config, with ``--n``/``--frame``."""
+    n = args.n or _whole("n", cfg.get("n", 2))
     frame_cfg = dict(cfg.get("frame") or {})
     if args.frame:
         frame_cfg["kind"] = args.frame
     frame_cfg.setdefault("n", n)
-    frame = load_frame(frame_cfg)
+    return n, load_frame(frame_cfg)
+
+
+def _solver_setup(cfg, args):
+    n, frame = _frame_setup(cfg, args)
     tolerances = cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ValueError("tolerances must be a JSON object")
     params = SolverParams(
-        N=int(cfg.get("N", 16) if args.depth_N is None else args.depth_N),
-        M=int(cfg.get("M", 12) if args.depth_M is None else args.depth_M),
-        grid=int(cfg.get("grid", 128)),
+        N=_whole("N", cfg.get("N", 16)) if args.depth_N is None else args.depth_N,
+        M=_whole("M", cfg.get("M", 12)) if args.depth_M is None else args.depth_M,
+        grid=_whole("grid", cfg.get("grid", 128)),
         fact_tol=float(
             tolerances.get("fact_tol", 1e-10) if args.tol_fact is None else args.tol_fact
         ),
@@ -140,7 +145,7 @@ def _solver_setup(cfg, args):
     )
     seed = args.seed if args.seed is not None else cfg.get("seed")
     g = load_loop(cfg.get("g"), n, params.N, seed)
-    l = ExponentVector(cfg.get("l", [0] * n))
+    l = ExponentVector([_whole(f"l[{i}]", x) for i, x in enumerate(cfg.get("l", [0] * n))])
     flows = FlowRecord(cfg.get("flows", {}))
     prov = provenance_hash(
         {
@@ -154,6 +159,14 @@ def _solver_setup(cfg, args):
         }
     )
     return frame, params, g, l, flows, prov
+
+
+def _whole(field: str, value) -> int:
+    """A config value that must be a whole number: 16 or 16.0, not 16.9,
+    1e400, true or "16"."""
+    if type(value) is not int and not (isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"config field {field} must be a whole number, not {value!r}")
+    return int(value)
 
 
 def provenance_hash(obj) -> str:
@@ -269,16 +282,14 @@ def cmd_zc_check(args) -> int:
     ]
     if not pairs:
         raise ValueError("zc-check needs flow pairs (config 'pairs' or --checks zc:...)")
+    pairs = [[_whole(f"pairs[{i}]", x) for x in p] for i, p in enumerate(pairs)]
     if mode == "numeric":
         return _verify(cfg, args, [("zc", *p) for p in pairs])
     # symbolic mode: seeded exact dressing, Lax-substituted derivatives
-    n = int(args.n or cfg.get("n", 2))
-    depth = int(cfg.get("depth", 4))
+    _, frame = _frame_setup(cfg, args)
+    depth = _whole("depth", cfg.get("depth", 4))
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     kind = HierarchyKind(cfg.get("kind", "standard"))
-    frame_cfg = dict(cfg.get("frame") or {})
-    frame_cfg.setdefault("n", n)
-    frame = load_frame(frame_cfg)
     d = _random_exact_dressing(kind, frame, depth, seed)
     results = {}
     for m1, a1, m2, a2 in pairs:

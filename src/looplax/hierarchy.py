@@ -41,6 +41,7 @@ from .loops import (
     mat_sub,
     mat_trace,
     mat_zeros,
+    row_reduce,
 )
 from .scalars import DerivationSymbol, DiffPoly, GaussianRational, I
 
@@ -109,7 +110,7 @@ class CommutativeFrame:
                 c = mat_sub(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]))
                 if not mat_is_zero(c):
                     raise NotCommuting(f"basis elements {i + 1} and {j + 1} do not commute")
-        if _rank_gaussian([sum(m, ()) for m in mats]) < len(mats):
+        if len(row_reduce([sum(m, ()) for m in mats], n * n)[1]) < len(mats):
             raise DependentBasis("frame basis matrices are linearly dependent")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", tuple(mats))
@@ -152,26 +153,6 @@ class CommutativeFrame:
             "n": self.n,
             "basis": [[[x.to_obj() for x in row] for row in m] for m in self.basis],
         }
-
-
-def _rank_gaussian(rows) -> int:
-    rows = [list(r) for r in rows]
-    rank, col, ncols = 0, 0, len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [inv * x for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def make_frame(kind: str, n: int, basis=None, scalars=None) -> CommutativeFrame:
@@ -336,35 +317,32 @@ class Deformation:
 
 
 def _check_witness(witness: LoopSeries, group: str):
-    if group == "g_neg":  # Id + strictly negative tail, z-graded
-        if witness.direction != "z" or any(k > 0 for k in witness.support()):
-            raise ShapeViolation("witness must be z-graded with powers <= 0")
+    """``g_neg``: Id plus a strictly negative tail; ``g_leq``: invertible
+    constant plus a negative tail (both z-graded); ``g_geq``: invertible
+    constant plus a positive tail (z^{-1}-graded)."""
+    if group == "g_geq":
+        shape = "z^{-1}-graded with powers >= 0"
+        ok = witness.direction == "zinv" and all(k >= 0 for k in witness.support())
+    else:
+        shape = "z-graded with powers <= 0"
+        ok = witness.direction == "z" and all(k <= 0 for k in witness.support())
+    if not ok:
+        raise ShapeViolation(f"witness must be {shape}")
+    if group == "g_neg":
         if not _mat_close(witness.coeff(0), mat_eye(witness.n), 0.0):
             raise ShapeViolation("witness constant term must be the identity")
-    elif group == "g_leq":  # invertible constant times Id + tail, z-graded
-        if witness.direction != "z" or any(k > 0 for k in witness.support()):
-            raise ShapeViolation("witness must be z-graded with powers <= 0")
-        try:
-            mat_inv(witness.coeff(0))
-        except ZeroDivisionError as exc:
-            raise ShapeViolation(f"witness constant term not invertible: {exc}") from exc
-    elif group == "g_geq":  # invertible constant plus strictly positive tail
-        if witness.direction != "zinv" or any(k < 0 for k in witness.support()):
-            raise ShapeViolation("witness must be z^{-1}-graded with powers >= 0")
-        try:
-            mat_inv(witness.coeff(0))
-        except ZeroDivisionError as exc:
-            raise ShapeViolation(f"witness constant term not invertible: {exc}") from exc
+        return
+    try:
+        mat_inv(witness.coeff(0))
+    except ZeroDivisionError as exc:
+        raise ShapeViolation(f"witness constant term not invertible: {exc}") from exc
 
 
 def _dressed(frame: CommutativeFrame, witness, power: int, window, direction: str = "z"):
     """The generators ``E_a z^power`` on ``window``, conjugated by
     ``witness`` (in its scalar backend) when one is given."""
-    numeric = witness is not None and witness.numeric
-    series = [
-        LoopSeries.monomial(mat_complex(e) if numeric else e, power, window, direction)
-        for e in frame.basis
-    ]
+    mats = [e if witness is None else _frame_matrix_like(e, witness) for e in frame.basis]
+    series = [LoopSeries.monomial(e, power, window, direction) for e in mats]
     return series if witness is None else [witness.conjugate(e) for e in series]
 
 
@@ -559,12 +537,15 @@ def corollary_lax_derivative(
     return -(rhs.shift(shift).project(region.complement))
 
 
-def _pair_bracket(c1: LoopSeries, c2: LoopSeries) -> LoopSeries:
-    """[c1, c2] for two cut-off style series, handling the mixed combined
-    case where they live in opposite gradings (both are finite and total,
-    so either algebra can host the bracket; the z-graded one is used)."""
-    direction = c1.direction if c1.direction == c2.direction else "z"
-    return _bracket_totals(c1, c2, direction)
+def _curvature(p1: LoopSeries, p2: LoopSeries, d1_of_p2, d2_of_p1) -> LoopSeries:
+    """``d_1(P_2) - d_2(P_1) - [P_1, P_2]`` for two cut-off style parts.
+
+    In the mixed combined case the parts live in opposite gradings; both are
+    finite and total, so the bracket and the derivatives are taken in the
+    z-graded algebra."""
+    direction = p1.direction if p1.direction == p2.direction else "z"
+    d1, d2 = (_total_view(x, direction, x.lo, x.hi) for x in (d1_of_p2, d2_of_p1))
+    return d1 - d2 - _bracket_totals(p1, p2, direction)
 
 
 def zc_residual(
@@ -580,16 +561,7 @@ def zc_residual(
     ``d_1(C_2) - d_2(C_1) - [C_1, C_2]``
     with the kind-appropriate cut-offs; derivatives supplied by the caller.
     """
-    c1 = cutoff(d, m1, alpha1)
-    c2 = cutoff(d, m2, alpha2)
-    br = _pair_bracket(c1, c2)
-    t1 = d1_of_c2 if d1_of_c2.direction == br.direction else _total_view(
-        d1_of_c2, br.direction, d1_of_c2.lo, d1_of_c2.hi
-    )
-    t2 = d2_of_c1 if d2_of_c1.direction == br.direction else _total_view(
-        d2_of_c1, br.direction, d2_of_c1.lo, d2_of_c1.hi
-    )
-    return t1 - t2 - br
+    return _curvature(cutoff(d, m1, alpha1), cutoff(d, m2, alpha2), d1_of_c2, d2_of_c1)
 
 
 def corollary_residual(
@@ -610,8 +582,7 @@ def corollary_residual(
         raise IndexOutOfRange("corollary parts mix only same-sign flows")
     a1 = corollary_part(d, m1, alpha1)
     a2 = corollary_part(d, m2, alpha2)
-    br = _pair_bracket(a1, a2)
-    return d1_of_a2 - d2_of_a1 - br
+    return _curvature(a1, a2, d1_of_a2, d2_of_a1)
 
 
 # ---------------------------------------------------------------------------
@@ -731,9 +702,7 @@ def frame_conjugate(d: Deformation, g0) -> Deformation:
     )
 
     def conj(series: LoopSeries) -> LoopSeries:
-        g = _frame_matrix_like(g0, series)
-        gi = _frame_matrix_like(g0_inv, series)
-        return series.map_coeffs(lambda m: mat_mul(mat_mul(g, m), gi))
+        return _conjugated(series, g0, g0_inv)
 
     series = [conj(s) for s in d.series]
     series_w = [conj(s) for s in d.series_w] if d.series_w is not None else None
@@ -744,6 +713,13 @@ def frame_conjugate(d: Deformation, g0) -> Deformation:
         d.kind, new_frame, series, series_w, witness, witness_w,
         tol=1e-9 if numeric else 0.0,
     )
+
+
+def _conjugated(series: LoopSeries, left, right) -> LoopSeries:
+    """``left X right`` for every coefficient X of ``series``, with the
+    constant matrices in the series' scalar backend."""
+    left, right = _frame_matrix_like(left, series), _frame_matrix_like(right, series)
+    return series.map_coeffs(lambda m: mat_mul(mat_mul(left, m), right))
 
 
 def _const_exp(mat, exact: bool):
@@ -782,22 +758,16 @@ def zero_time_normalize(d: Deformation, t0_values) -> Deformation:
     if len(t0_values) != d.r:
         raise ValueError(f"need {d.r} zero-time values")
     exact = all(GaussianRational._coerce(v) is not None for v in t0_values)
-    n = d.frame.n
-    s = mat_zeros(n)
-    for v, e in zip(t0_values, d.frame.basis):
-        if exact:
-            s = mat_add(s, mat_smul(GaussianRational._coerce(v), e))
-        else:
-            s = mat_add(s, mat_smul(complex(v), mat_complex(e)))
+    scalar = GaussianRational._coerce if exact else complex
+    basis = d.frame.basis if exact else d.frame.complex_basis()
+    s = mat_zeros(d.frame.n)
+    for v, e in zip(t0_values, basis):
+        s = mat_add(s, mat_smul(scalar(v), e))
     pos = _const_exp(s, exact)
     neg = _const_exp(mat_smul(-1, s), exact)
 
     def conj(series: LoopSeries) -> LoopSeries:
-        if not exact:
-            series = series.map_coeffs(mat_complex)
-        p = _frame_matrix_like(pos, series)
-        m_ = _frame_matrix_like(neg, series)
-        return series.map_coeffs(lambda c: mat_mul(mat_mul(m_, c), p))
+        return _conjugated(series if exact else series.map_coeffs(mat_complex), neg, pos)
 
     series = [conj(x) for x in d.series]
     witness = conj(d.witness) if d.witness is not None else None

@@ -16,11 +16,12 @@ typed elements the factor may legitimately be cancelled, which is what
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Mapping
 
-from .errors import IndexOutOfRange, SideMismatch
-from .hierarchy import CommutativeFrame, _total_view_for
-from .loops import LoopSeries, Region, mat_eye, mat_is_zero, mat_sub
+from .errors import IndexOutOfRange, ShapeViolation, SideMismatch, WindowUnderflow
+from .hierarchy import CommutativeFrame, _check_witness, _total_view_for
+from .loops import LoopSeries, Region
 from .scalars import DerivationSymbol, DiffPoly
 
 __all__ = [
@@ -140,17 +141,30 @@ class ExponentVector:
     def is_constant(self) -> bool:
         return len(set(self.l)) <= 1
 
+    def check_commutes(self, frame: CommutativeFrame) -> "ExponentVector":
+        """Raise :class:`IndexOutOfRange` unless delta(l) commutes with the
+        frame: l_i == l_j wherever some E_alpha has a nonzero (i, j) entry.
+        Diagonal frames accept every l, unipotent and Schur frames only the
+        constant vectors."""
+        l = self.l
+        if len(l) != frame.n:
+            raise IndexOutOfRange(f"exponent vector {list(l)} does not fit an n={frame.n} frame")
+        for alpha, e in enumerate(frame.basis, start=1):
+            for i, j in itertools.product(range(frame.n), repeat=2):
+                if l[i] != l[j] and e[i][j] != 0:
+                    raise IndexOutOfRange(
+                        f"exponent vector {list(l)} does not commute with this frame: "
+                        f"E_{alpha} has a nonzero ({i + 1}, {j + 1}) entry but "
+                        f"l_{i + 1} = {l[i]} != l_{j + 1} = {l[j]}"
+                    )
+        return self
+
     def commutes_with_frame(self, frame: CommutativeFrame) -> bool:
-        """delta(l) commutes with E_alpha iff every nonzero entry (i, j) of
-        E_alpha has l_i == l_j.  Diagonal frames accept every l, the
-        unipotent frame exactly the constant vectors."""
-        if len(self.l) != frame.n:
+        """Does delta(l) commute with the frame (see :meth:`check_commutes`)?"""
+        try:
+            self.check_commutes(frame)
+        except IndexOutOfRange:
             return False
-        for e in frame.basis:
-            for i in range(frame.n):
-                for j in range(frame.n):
-                    if e[i][j] != 0 and self.l[i] != self.l[j]:
-                        return False
         return True
 
 
@@ -200,17 +214,11 @@ class OscillatingMatrix:
         tail (at zero)."""
         if self.exponent is None:
             return False
-        k = self.factor
-        if self.side is Side.INFINITY:
-            if any(p > 0 for p in k.support()):
-                return False
-            const = k.coeffs.get(0)
-            if const is None:
-                return False
-            return mat_is_zero(mat_sub(const, mat_eye(k.n)))
-        if any(p < 0 for p in k.support()):
+        try:
+            _check_witness(self.factor, "g_neg" if self.side is Side.INFINITY else "g_geq")
+        except (ShapeViolation, WindowUnderflow):
             return False
-        return 0 in k.coeffs
+        return True
 
     # -- module actions -----------------------------------------------------
 
@@ -228,8 +236,8 @@ class OscillatingMatrix:
 
         delta(l) commutes with the frame, so the action lands on the group
         part and typed elements keep their exponent."""
-        if self.exponent is not None and not self.exponent.commutes_with_frame(frame):
-            raise IndexOutOfRange("exponent vector does not commute with this frame")
+        if self.exponent is not None:
+            self.exponent.check_commutes(frame)
         ev = _generator_view(frame, alpha, 0 if self.side is Side.INFINITY else -1, self.factor)
         return OscillatingMatrix(self.side, self.factor.mul(ev), self.flows, self.exponent)
 
@@ -326,8 +334,7 @@ def extract_connection(
     """
     if psi.exponent is None:
         raise SideMismatch("connection extraction needs a typed (factored) element")
-    if not psi.exponent.commutes_with_frame(frame):
-        raise IndexOutOfRange("exponent vector does not commute with this frame")
+    psi.exponent.check_commutes(frame)
     if psi.side is Side.INFINITY and m < 0:
         raise IndexOutOfRange("infinity-side flows need m >= 0")
     if psi.side is Side.ZERO and m >= 0:

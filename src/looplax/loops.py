@@ -51,6 +51,7 @@ __all__ = [
     "mat_zeros",
     "mat_trace",
     "mat_inv",
+    "row_reduce",
     "mat_is_zero",
     "mat_complex",
 ]
@@ -156,47 +157,59 @@ def _nonzero(x) -> bool:
     return not eq
 
 
-def _scalar_inv(x):
-    if hasattr(x, "inverse"):
-        return x.inverse()
-    if isinstance(x, int):
-        return Fraction(1, x)  # stay exact for integer entries
-    return 1 / x
+def _unit_inverse(x):
+    """The reciprocal of ``x`` over its backend; None for a non-unit."""
+    if not _nonzero(x):
+        return None
+    try:
+        if hasattr(x, "inverse"):
+            return x.inverse()
+        if isinstance(x, int):
+            return Fraction(1, x)  # stay exact for integer entries
+        return 1 / x
+    except (ZeroDivisionError, ValueError):
+        return None
+
+
+def row_reduce(rows, ncols: int):
+    """Gauss-Jordan elimination on the first ``ncols`` columns.
+
+    Returns ``(rows, pivots)``: the reduced rows and the pivot columns, so
+    the rank is ``len(pivots)``.  A pivot is any entry whose reciprocal
+    exists over its backend (exact backends take the first one); for plain
+    numbers the largest magnitude is chosen.
+    """
+    rows, pivots = [list(r) for r in rows], []
+    for col in range(ncols):
+        top = len(pivots)
+        candidates = list(range(top, len(rows)))
+        if all(isinstance(rows[r][col], (complex, float, int)) for r in candidates):
+            candidates.sort(key=lambda r: -abs(rows[r][col]))
+        for r in candidates:
+            inv = _unit_inverse(rows[r][col])
+            if inv is not None:
+                break
+        else:
+            continue
+        rows[top], rows[r] = rows[r], rows[top]
+        rows[top] = [inv * x for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and _nonzero(rows[i][col]):
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[top])]
+        pivots.append(col)
+    return rows, pivots
 
 
 def mat_inv(a):
-    """Invert a matrix over any backend whose units expose reciprocals.
-
-    Gauss-Jordan with pivot search: a pivot is any entry whose reciprocal
-    exists (exact backends); for floats the largest magnitude is chosen.
-    Raises ``ZeroDivisionError`` when no pivot can be found.
-    """
+    """Invert a matrix over any backend whose units expose reciprocals, by
+    :func:`row_reduce` on ``[a | Id]``.  Raises ``ZeroDivisionError`` when
+    no pivot can be found."""
     n = len(a)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot_row, pivot_inv = None, None
-        candidates = list(range(col, n))
-        if all(isinstance(aug[r][col], (complex, float, int)) for r in candidates):
-            candidates.sort(key=lambda r: -abs(aug[r][col]))
-        for r in candidates:
-            if not _nonzero(aug[r][col]):
-                continue
-            try:
-                pivot_inv = _scalar_inv(aug[r][col])
-            except (ZeroDivisionError, ValueError):
-                continue
-            pivot_row = r
-            break
-        if pivot_row is None:
-            raise ZeroDivisionError("matrix is not invertible over its backend")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        aug[col] = [pivot_inv * x for x in aug[col]]
-        for r in range(n):
-            if r == col or not _nonzero(aug[r][col]):
-                continue
-            f = aug[r][col]
-            aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    rows, pivots = row_reduce([list(row) + list(e) for row, e in zip(a, mat_eye(n))], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is not invertible over its backend")
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def _freeze(mat):
@@ -273,6 +286,14 @@ class LoopSeries:
             return k >= self.lo
         return k <= self.hi
 
+    def _check_known(self, lo: int, hi: int):
+        """WindowUnderflow unless ``[lo, hi]`` lies in the exact range."""
+        if not (self.known(lo) and self.known(hi)):
+            raise WindowUnderflow(
+                f"window [{lo},{hi}] not contained in the exact range of "
+                f"{self.window} (direction {self.direction!r})"
+            )
+
     def coeff(self, k: int):
         """The coefficient matrix of ``z**k``; WindowUnderflow if unknown."""
         if not self.known(k):
@@ -320,11 +341,7 @@ class LoopSeries:
         determined, or when the restriction would silently discard known
         nonzero support (use :meth:`project` to drop content on purpose).
         """
-        if not (self.known(lo) and self.known(hi)):
-            raise WindowUnderflow(
-                f"window [{lo},{hi}] not contained in the exact range of "
-                f"{self.window} (direction {self.direction!r})"
-            )
+        self._check_known(lo, hi)
         dropped = sorted(k for k in self.coeffs if not lo <= k <= hi)
         if dropped:
             raise WindowUnderflow(
@@ -341,11 +358,7 @@ class LoopSeries:
         would change the represented element) and raises
         :class:`WindowUnderflow`.
         """
-        if not (self.known(lo) and self.known(hi)):
-            raise WindowUnderflow(
-                f"window [{lo},{hi}] not contained in the exact range of "
-                f"{self.window} (direction {self.direction!r})"
-            )
+        self._check_known(lo, hi)
         bad = [k for k in self.coeffs if (k > hi if self.direction == "z" else k < lo)]
         if bad:
             raise WindowUnderflow(
@@ -535,29 +548,20 @@ class LoopSeries:
             lead_inv = mat_inv(lead)
         except ZeroDivisionError as exc:
             raise SingularLeading(str(exc)) from exc
+        # the inverse runs from -h toward the unbounded end, one step per
+        # known power of the input: downward for "z", upward for "zinv"
+        sg = -1 if self.direction == "z" else 1
+        depth = h - self.lo if sg < 0 else self.hi - h
         out = {-h: lead_inv}
-        if self.direction == "z":
-            depth = h - self.lo
-            for t in range(1, depth + 1):
-                acc = mat_zeros(self.n)
-                for s in range(1, t + 1):
-                    g = self.coeffs.get(h - s)
-                    f = out.get(-h - t + s)
-                    if g is not None and f is not None:
-                        acc = mat_add(acc, mat_mul(g, f))
-                out[-h - t] = mat_neg(mat_mul(lead_inv, acc))
-            win = (-h - depth, -h)
-        else:
-            depth = self.hi - h
-            for t in range(1, depth + 1):
-                acc = mat_zeros(self.n)
-                for s in range(1, t + 1):
-                    g = self.coeffs.get(h + s)
-                    f = out.get(-h + t - s)
-                    if g is not None and f is not None:
-                        acc = mat_add(acc, mat_mul(g, f))
-                out[-h + t] = mat_neg(mat_mul(lead_inv, acc))
-            win = (-h, -h + depth)
+        for t in range(1, depth + 1):
+            acc = mat_zeros(self.n)
+            for s in range(1, t + 1):
+                g = self.coeffs.get(h + sg * s)
+                f = out.get(-h + sg * (t - s))
+                if g is not None and f is not None:
+                    acc = mat_add(acc, mat_mul(g, f))
+            out[-h + sg * t] = mat_neg(mat_mul(lead_inv, acc))
+        win = sorted((-h, -h + sg * depth))
         return LoopSeries(self.n, out, win, self.direction)
 
     def conjugate(self, y: "LoopSeries") -> "LoopSeries":

@@ -16,6 +16,7 @@ without knowing the backend.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -369,16 +370,7 @@ class DiffPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coef in o._terms.items():
-            s = out.get(mono, GaussianRational(0)) + coef
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        p = DiffPoly.__new__(DiffPoly)
-        p._terms = out
-        return p
+        return _collected(o._terms.items(), dict(self._terms))
 
     __radd__ = __add__
 
@@ -407,21 +399,13 @@ class DiffPoly:
             raise ResourceExceeded(
                 f"product would expand {len(self._terms)}x{len(o._terms)} terms"
             )
-        out: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
-                mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                s = out.get(mono)
-                s = c if s is None else s + c
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        if len(out) > _TERM_CAP:
-            raise ResourceExceeded(f"result has {len(out)} terms")
-        p = DiffPoly.__new__(DiffPoly)
-        p._terms = out
+        p = _collected(
+            (_mono_mul(m1, m2), c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in o._terms.items()
+        )
+        if len(p._terms) > _TERM_CAP:
+            raise ResourceExceeded(f"result has {len(p._terms)} terms")
         return p
 
     __rmul__ = __mul__
@@ -452,17 +436,11 @@ class DiffPoly:
 
     def derive(self, sym: DerivationSymbol) -> "DiffPoly":
         """Apply the derivation ``sym`` (Leibniz rule on every monomial)."""
-        out = DiffPoly.zero()
-        for mono, coef in self._terms.items():
-            factors = list(mono)
-            for idx, (ind, power) in enumerate(factors):
-                rest = factors[:idx] + factors[idx + 1 :]
-                if power > 1:
-                    rest = rest + [(ind, power - 1)]
-                base = tuple(sorted(rest))
-                dmono = _mono_mul(base, ((ind.derived(sym), 1),))
-                out = out + DiffPoly({dmono: coef * power})
-        return out
+        return _collected(
+            (_mono_mul(_mono_without(mono, idx), ((ind.derived(sym), 1),)), coef * power)
+            for mono, coef in self._terms.items()
+            for idx, (ind, power) in enumerate(mono)
+        )
 
     def substitute(self, bindings: Mapping[Indeterminate, "DiffPoly"]) -> "DiffPoly":
         """Simultaneous substitution followed by canonicalization.
@@ -554,15 +532,37 @@ class DiffPoly:
 
     @classmethod
     def from_obj(cls, obj) -> "DiffPoly":
-        out = cls.zero()
-        for term in obj["sum"]:
-            coef = GaussianRational.from_obj(term["coef"])
-            mono: dict = {}
-            for fac in term["mono"]:
-                ind = Indeterminate.from_obj(fac)
-                mono[ind] = mono.get(ind, 0) + 1
-            out = out + cls({tuple(sorted(mono.items())): coef})
-        return out
+        return _collected(
+            (
+                tuple(sorted(Counter(map(Indeterminate.from_obj, term["mono"])).items())),
+                GaussianRational.from_obj(term["coef"]),
+            )
+            for term in obj["sum"]
+        )
+
+
+def _collected(terms, out=None) -> DiffPoly:
+    """The canonical polynomial of ``(monomial, coefficient)`` pairs: equal
+    monomials merge and zero sums vanish.  ``out`` is a canonical term dict
+    to accumulate onto, taken over by the result."""
+    out = {} if out is None else out
+    for mono, c in terms:
+        s = out.get(mono)
+        s = c if s is None else s + c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    p = DiffPoly.__new__(DiffPoly)
+    p._terms = out
+    return p
+
+
+def _mono_without(mono: Monomial, idx: int) -> Monomial:
+    """``mono`` with one power of its ``idx``-th factor removed."""
+    ind, power = mono[idx]
+    rest = mono[:idx] + mono[idx + 1 :]
+    return tuple(sorted(rest + ((ind, power - 1),))) if power > 1 else rest
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .hierarchy import (
     zc_residual,
 )
 from .linearize import ExponentVector, FlowRecord
-from .loops import LoopSeries, mat_complex
+from .loops import LoopSeries
 
 __all__ = [
     "SolverParams",
@@ -162,17 +162,6 @@ class AnnulusLoop:
         G, n, _ = values.shape
         bins = np.fft.fft(values, axis=0) / G
         return cls(n, bins[np.arange(-N, N + 1) % G])
-
-    def to_series(self, direction: str, window=None) -> LoopSeries:
-        """View as a total LoopSeries (every power outside [-N, N] is zero)."""
-        coeffs = {}
-        for k in range(-self.N, self.N + 1):
-            m = self.coeffs[k + self.N]
-            if np.any(m != 0):
-                coeffs[k] = mat_complex(m)
-        if window is None:
-            window = (-self.N, self.N)
-        return LoopSeries(self.n, coeffs, window, direction)
 
     def to_obj(self):
         out = {}
@@ -413,10 +402,11 @@ def build_wave_pair(
     ``Id + Gamma (g - Id) Gamma^{-1}`` (twisted entrywise), which is exact
     for the identity loop and numerically tighter than multiplying three
     exponentials.  :class:`BigCellViolation` propagates from the
-    factorization.
+    factorization.  A twist ``delta(l)`` that does not commute with the frame
+    gives no hierarchy solution and raises :class:`IndexOutOfRange`.
     """
     params = params or SolverParams()
-    l = _exponent_vector(l, g.n)
+    l = _exponent_vector(l, g.n).check_commutes(frame)
     flows = _flow_record(flows, params.N)
     lv = np.array(l.l)
     G = params.grid

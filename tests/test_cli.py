@@ -207,6 +207,43 @@ class TestMalformedConfig:
         assert code == 2 and "non-finite" in err and "SVD" not in err and out == ""
 
 
+    def test_non_commuting_twist(self, capsys, cfg_file):
+        # delta(l) must commute with the frame; this one used to verify with
+        # order-one residuals and exit 0
+        cfg = dict(SOLVE_CFG, n=3, frame={"kind": "unipotent"}, l=[1, 0, -1])
+        code, out, err = run(capsys, "verify", "--config", cfg_file(cfg), "--checks", "lax:1,1")
+        assert code == 2 and "E_1 has a nonzero (1, 2) entry" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "command,text,field",
+        [
+            ("solve", '"N": 1e400', "N"),
+            ("solve", '"N": 16.9, "M": 12.7', "N"),
+            ("solve", '"M": 12.7', "M"),
+            ("solve", '"grid": 128.5', "grid"),
+            ("solve", '"n": 2.5', "n"),
+            ("solve", '"l": [0.5, 0]', "l[0]"),
+            ("zc-check", '"depth": 1e400', "depth"),
+            ("zc-check", '"pairs": [[0.5, 1, 1, 1]]', "pairs[0]"),
+        ],
+    )
+    def test_integer_field_not_whole(self, capsys, tmp_path, command, text, field):
+        # raw JSON text: 1e400 overflowed int() with a traceback, 16.9 ran as
+        # 16, a flow degree 0.5 gave a NONZERO verdict with exit 1
+        override = json.loads("{" + text + "}")
+        base = {k: v for k, v in SOLVE_CFG.items() if k not in override}
+        base["pairs"] = [[0, 1, 1, 1]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base)[:-1] + ", " + text + "}")
+        code, out, err = run(capsys, command, "--config", str(path))
+        assert code == 2 and f"config field {field} must be a whole number" in err and out == ""
+
+    def test_whole_float_fields_accepted(self, capsys, cfg_file):
+        as_int = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, N=16, M=12)))
+        as_float = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, N=16.0, M=12.0)))
+        assert as_int[0] == as_float[0] == 0 and as_int[1] == as_float[1]
+
+
 class TestZeroValuedFlags:
     # a zero flag must reach validation, not fall back to the config value
     @pytest.mark.parametrize(

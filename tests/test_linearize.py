@@ -1,6 +1,6 @@
 import pytest
 
-from looplax.errors import SideMismatch
+from looplax.errors import IndexOutOfRange, SideMismatch
 from looplax.hierarchy import HierarchyKind, akns_frame, cutoff, deform, make_frame
 from looplax.linearize import (
     ExponentVector,
@@ -10,7 +10,7 @@ from looplax.linearize import (
     extract_connection,
 )
 from looplax.loops import LoopSeries
-from looplax.scalars import DerivationSymbol, DiffPoly
+from looplax.scalars import DerivationSymbol, DiffPoly, GaussianRational
 
 from conftest import gr_eye, rand_mat
 
@@ -48,6 +48,15 @@ class TestExponentVector:
         f = make_frame("unipotent", 3)
         assert ExponentVector([2, 2, 2]).commutes_with_frame(f)
         assert not ExponentVector([1, 0, 0]).commutes_with_frame(f)
+
+    def test_module_actions_name_the_offending_entry(self):
+        f = make_frame("unipotent", 3)
+        psi = OscillatingMatrix.bare(Side.INFINITY, 3, exponent=ExponentVector([0, 0, 1]), depth=2)
+        needle = r"E_1 has a nonzero \(2, 3\) entry but l_2 = 0 != l_3 = 1"
+        with pytest.raises(IndexOutOfRange, match=needle):
+            psi.right_frame(f, 1)
+        with pytest.raises(IndexOutOfRange, match=needle):
+            extract_connection(psi, 1, 1, f)
 
     def test_shift(self):
         assert ExponentVector([1, 0]).shifted(2) == ExponentVector([3, 2])
@@ -181,6 +190,15 @@ class TestExtractConnection:
             Side.INFINITY, bad_factor, exponent=ExponentVector([0, 0])
         )
         assert not untyped.is_typed()
+
+    def test_zero_side_needs_invertible_constant(self, rng):
+        # the same group test as deform's z^{-1}-graded witness
+        g = GaussianRational
+        singular = ((g(1), g(2)), (g(2), g(4)))
+        for const, typed in ((gr_eye(2), True), (singular, False)):
+            factor = LoopSeries(2, {0: const, 1: rand_mat(rng, 2)}, (0, 2), "zinv")
+            phi = OscillatingMatrix(Side.ZERO, factor, exponent=ExponentVector([0, 0]))
+            assert phi.is_typed() is typed
 
 
 class TestScratchLegitimacy:

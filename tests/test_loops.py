@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from looplax.errors import (
@@ -14,8 +15,10 @@ from looplax.loops import (
     Region,
     exp_neg,
     log_unip,
+    mat_inv,
     mat_mul,
     mat_sub,
+    row_reduce,
 )
 from looplax.scalars import DiffPoly, GaussianRational, I
 
@@ -247,6 +250,28 @@ class TestInvert:
         inv = g.invert()
         assert inv.hi == -1
         assert g.mul(inv).equals(LoopSeries.identity(2, g.mul(inv).window))
+
+
+class TestMatInv:
+    # one elimination serves every backend and the frame rank
+    def test_complex_tiny_leading_pivot(self):
+        a = ((1e-14 + 0j, 2 - 1j, 0.5j), (3 + 1j, 1 + 0j, -1 + 0j), (0.25 + 0j, -2j, 4 + 0j))
+        got = np.array(mat_inv(a))
+        ref = np.linalg.inv(np.array(a))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_exact_singular_raises(self):
+        g = GaussianRational
+        a = ((g(1), g(2), g(0, 1)), (g(2), g(4), g(0, 2)), (g(0), g(1), g(1)))
+        with pytest.raises(ZeroDivisionError):
+            mat_inv(a)
+        rows, pivots = row_reduce(a, 3)
+        assert pivots == [0, 1] and all(x == 0 for x in rows[2])
+
+    def test_diffpoly_constant_matrix(self):
+        c = DiffPoly.constant
+        a = ((c(2), c(I)), (c(1), c(1)))
+        assert mat_mul(a, mat_inv(a)) == gr_eye(2)
 
 
 class TestConjugate:

@@ -145,6 +145,14 @@ class TestDerivations:
             a, b = rand_poly(rng), rand_poly(rng)
             assert (a * b).derive(X) == a.derive(X) * b + a * b.derive(X)
 
+    def test_cancelling_leibniz_terms_vanish(self):
+        # d(q r_x - q_x r) = q r_xx - q_xx r: the q_x r_x terms cancel
+        q, r = DiffPoly.indeterminate("q"), DiffPoly.indeterminate("r")
+        dq, dr = q.derive(X), r.derive(X)
+        d = (q * dr - dq * r).derive(X)
+        assert d.terms == (q * dr.derive(X) - dq.derive(X) * r).terms
+        assert len(d.terms) == 2
+
     def test_derivations_commute(self, rng):
         q = DiffPoly.indeterminate("q")
         assert (q * q).derive(X).derive(T) == (q * q).derive(T).derive(X)
@@ -199,6 +207,13 @@ class TestSerialization:
         for _ in range(25):
             a = rand_poly(rng)
             assert DiffPoly.from_obj(a.to_obj()) == a
+
+    def test_cancelling_terms_decode_to_zero(self):
+        q = ["q", []]
+        obj = {"sum": [{"coef": ["1", "0"], "mono": [q, q]}, {"coef": ["-1", "0"], "mono": [q, q]}]}
+        assert DiffPoly.from_obj(obj).terms == {}
+        obj["sum"].append({"coef": ["0", "0"], "mono": [q]})
+        assert DiffPoly.from_obj(obj) == DiffPoly.zero()
 
     def test_tree_shape(self):
         q2 = DiffPoly.indeterminate("q", X, X)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -17,6 +19,7 @@ from looplax.linearize import (
     Side,
     extract_connection,
 )
+from looplax.loops import LoopSeries
 from looplax.solver import (
     AnnulusLoop,
     SolverParams,
@@ -34,6 +37,17 @@ from looplax.solver import (
 FRAME = akns_frame()
 PARAMS = SolverParams()
 E1C = tuple(tuple(complex(x) for x in row) for row in FRAME.generator(1))
+
+
+def to_series(loop, direction, window=None):
+    """View an annulus loop as a total LoopSeries (every power outside
+    [-N, N] is zero): the reference representation for the array kernels."""
+    coeffs = {
+        k: tuple(tuple(complex(x) for x in row) for row in loop.coeff(k))
+        for k in range(-loop.N, loop.N + 1)
+        if np.any(loop.coeff(k) != 0)
+    }
+    return LoopSeries(loop.n, coeffs, window or (-loop.N, loop.N), direction)
 
 
 def small_pair(seed=7, eps=0.1, flows=None, l=(0, 0)):
@@ -253,6 +267,92 @@ class TestWavePair:
             build_wave_pair(g, [0, 0], {"1,1": value}, FRAME, PARAMS)
 
 
+def twist_frame(kind, n):
+    """A built-in frame, or the n=4 Schur frame spanned by E13, E14, E23, E24."""
+    if kind != "schur":
+        return make_frame(kind, n)
+    units = []
+    for i, j in ((0, 2), (0, 3), (1, 2), (1, 3)):
+        m = [[0] * 4 for _ in range(4)]
+        m[i][j] = 1
+        units.append(m)
+    return make_frame("custom", 4, basis=units)
+
+
+class TestTwistAdmissibility:
+    # delta(l) gives a hierarchy solution only when it commutes with the frame
+    @pytest.mark.parametrize(
+        "kind,n,l",
+        [("diagonal", 3, [1, 0, -1]), ("unipotent", 3, [2, 2, 2]), ("schur", 4, [1, 1, 1, 1])],
+    )
+    def test_commuting_twist_solves(self, kind, n, l):
+        frame = twist_frame(kind, n)
+        g = random_loop(n, 16, 0.1, seed=27)
+        rep = fd_verify(g, l, frame, {"1,1": 0.1}, checks=[("lax", 1, 1)], params=PARAMS)
+        assert rep.max_residual() < 1e-6, rep.residuals
+
+    @pytest.mark.parametrize(
+        "kind,n,l,entry",
+        [("unipotent", 3, [1, 0, -1], "(1, 2)"), ("schur", 4, [1, 0, 0, -1], "(1, 3)")],
+    )
+    def test_non_commuting_twist_rejected(self, kind, n, l, entry):
+        # fd_verify used to report order-one residuals here instead of failing
+        frame = twist_frame(kind, n)
+        g = random_loop(n, 16, 0.1, seed=27)
+        needle = f"E_1 has a nonzero {entry} entry"
+        with pytest.raises(IndexOutOfRange, match=re.escape(needle)):
+            build_wave_pair(g, l, {"1,1": 0.1}, frame, PARAMS)
+        with pytest.raises(IndexOutOfRange, match=re.escape(needle)):
+            fd_verify(g, l, frame, {"1,1": 0.1}, checks=[("lax", 1, 1)], params=PARAMS)
+
+
+class TestClosedFormFactorization:
+    """g = Id + f(z) E12 with the AKNS frame E = diag(a, -a) and no flows
+    factors in closed form: u_minus = Id - f_- E12 and p_plus = Id + f_+ E12
+    (f_- the negative-frequency part of f, f_+ the rest), so
+    U = E + 2a f_- E12 and W = (E - 2a f_+ E12) z^{-1}.  The oracle shares
+    nothing with the block-Toeplitz solve."""
+
+    E12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    F = {k: 0.3 * complex(k + 0.5, 1 - 0.25 * k * k) / 3 for k in range(-3, 3)}
+
+    def pair(self):
+        eye = np.eye(2, dtype=complex)
+        g = {k: (eye if k == 0 else 0) + c * self.E12 for k, c in self.F.items()}
+        return AnnulusLoop.from_coeff_dict(2, g)
+
+    def part(self, k, negative):
+        return self.F.get(k, 0) if (k < 0) == negative else 0
+
+    def test_factors(self):
+        w = build_wave_pair(self.pair(), [0, 0], {}, FRAME, PARAMS)
+        eye = np.eye(2)
+        for k in range(-PARAMS.M, 1):
+            expect = (k == 0) * eye - self.part(k, True) * self.E12
+            assert np.max(np.abs(w.u_minus.coeff(k) - expect)) <= 1e-13, k
+        for k in range(0, w.p_plus.N + 1):
+            expect = (k == 0) * eye + self.part(k, False) * self.E12
+            assert np.max(np.abs(w.p_plus.coeff(k) - expect)) <= 1e-13, k
+
+    def test_dressed_series(self):
+        sol = extract_solution(build_wave_pair(self.pair(), [0, 0], {}, FRAME, PARAMS))
+        e = np.array(E1C)
+        a = e[0, 0]
+        u, w = sol.u_series[0], sol.w_series[0]
+        for k in range(-PARAMS.M, 1):
+            expect = (k == 0) * e + 2 * a * self.part(k, True) * self.E12
+            assert np.max(np.abs(np.array(u.coeff(k)) - expect)) <= 1e-13, k
+        for k in range(-1, PARAMS.M):
+            expect = (k == -1) * e - 2 * a * self.part(k + 1, False) * self.E12
+            assert np.max(np.abs(np.array(w.coeff(k)) - expect)) <= 1e-13, k
+
+    def test_fd_verify(self):
+        checks = [("lax", 0, 1), ("lax", 1, 1), ("lax", 2, 1), ("zc", -1, 1, 1, 1)]
+        rep = fd_verify(self.pair(), [0, 0], FRAME, {}, checks=checks, params=PARAMS)
+        assert not rep.inconclusive and len(rep.residuals) == 4
+        assert rep.max_residual() <= 1e-8, rep.residuals
+
+
 class TestExtractSolution:
     def test_trivial_solution(self):
         w = build_wave_pair(AnnulusLoop.identity(2, 2), [0, 0], {"1,1": 0.2}, FRAME, PARAMS)
@@ -304,7 +404,7 @@ class TestExtractSolution:
 
         def u_series_at(v):
             w = build_wave_pair(g, [0, 0], flows.with_value(1, 1, 0.1 + v), FRAME, PARAMS)
-            return w.u_minus.to_series("z", (-2 * PARAMS.M, 0)), w
+            return to_series(w.u_minus, "z", (-2 * PARAMS.M, 0)), w
 
         up, _ = u_series_at(h)
         um, _ = u_series_at(-h)
@@ -332,7 +432,7 @@ class TestExtractSolution:
             w = build_wave_pair(
                 g, [0, 0], flows.with_value(-1, 1, 0.05 + v), FRAME, PARAMS
             )
-            full = w.p_plus.to_series("zinv", (0, w.p_plus.N))
+            full = to_series(w.p_plus, "zinv", (0, w.p_plus.N))
             return full.truncated(0, 2 * PARAMS.M), w
 
         pp, _ = p_series_at(h)
@@ -354,8 +454,8 @@ def reference_dressing(w, depth):
     """The dressing through window-checked LoopSeries algebra: an oracle
     for the coefficient-array kernels of extract_solution."""
     M, frame = w.params.M, w.frame
-    u = w.u_minus.to_series("z", (-2 * M, 0))
-    p = w.p_plus.to_series("zinv", (0, w.p_plus.N)).truncated(0, 2 * M)
+    u = to_series(w.u_minus, "z", (-2 * M, 0))
+    p = to_series(w.p_plus, "zinv", (0, w.p_plus.N)).truncated(0, 2 * M)
     u_inv, p_inv = u.invert(), p.invert()
     us, ws = [], []
     for alpha in range(1, frame.r + 1):
