@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, NamedTuple
 
 from .errors import ResourceExceeded, UnboundDerivative
@@ -42,19 +43,36 @@ __all__ = [
 class GaussianRational:
     """An exact element ``re + i*im`` of Q(i), with ``i**2 == -1``.
 
-    Immutable and hashable.  Arithmetic coerces ``int`` and ``Fraction``
+    Stored as three integers ``(a, b, d)`` meaning ``(a + i*b) / d``, with
+    ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have equal storage
+    and each operation costs a few integer products and one ``gcd``.
+    ``re`` and ``im`` are read-only :class:`~fractions.Fraction` views.
+
+    Immutable and hashable (the private slots are, as in ``Fraction``, left
+    alone by convention).  Arithmetic coerces ``int`` and ``Fraction``
     operands; everything else is left to the other operand's reflected
     methods (which is how :class:`DiffPoly` absorbs these values).
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        q, s = re.denominator, im.denominator
+        d = q * s // gcd(q, s)
+        # both parts are reduced, so (a, b, d) over their lcm is canonical
+        self._a, self._b, self._d = re.numerator * (d // q), im.numerator * (d // s), d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- coercion ----------------------------------------------------------
 
@@ -62,17 +80,25 @@ class GaussianRational:
     def _coerce(x):
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
+        if isinstance(x, int):
+            return _qi(int(x), 0, 1)
+        if isinstance(x, Fraction):
+            return _qi(x.numerator, 0, x.denominator)
         return None
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if type(other) is not GaussianRational:
+            if type(other) is int:  # (a + o*d, b, d) stays canonical
+                return _qi(self._a + other * self._d, self._b, self._d)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _canonical(self._a + other._a, self._b + other._b, d)
+        return _canonical(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
@@ -80,36 +106,37 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return o + -self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if type(other) is not GaussianRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _canonical(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _qi(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     def inverse(self) -> "GaussianRational":
-        d = self.re * self.re + self.im * self.im
-        if d == 0:
+        # d / (a + ib) = d (a - ib) / (a^2 + b^2)
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
+        if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / d, -self.im / d)
+        return _canonical(d * a, -d * b, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -138,27 +165,30 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _qi(self._a, -self._b, self._d)
 
     # -- comparisons and conversions ----------------------------------------
 
     def __eq__(self, other):
+        if type(other) is int:
+            return self._b == 0 and self._d == 1 and self._a == other
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
         # Matches hash(Fraction) on the real axis so GR(2) == 2 hashes alike.
-        if self.im == 0:
-            return hash(self.re)
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, so a/d equals float(re) exactly
+        return complex(self._a / self._d, self._b / self._d)
 
     def __abs__(self):
         return abs(complex(self))
@@ -167,12 +197,13 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
     # -- JSON ----------------------------------------------------------------
 
@@ -181,8 +212,30 @@ class GaussianRational:
 
     @classmethod
     def from_obj(cls, obj) -> "GaussianRational":
-        re, im = obj
-        return cls(Fraction(re), Fraction(im))
+        """Decode a ``[re, im]`` pair of rationals (``"p/q"`` strings or
+        numbers); anything else raises ``ValueError`` naming the value."""
+        if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+            raise ValueError(f"a Q(i) scalar must be a [re, im] pair, not {obj!r}")
+        try:
+            return cls(*obj)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad Q(i) scalar {obj!r}: {exc}") from exc
+
+
+def _qi(a: int, b: int, d: int) -> GaussianRational:
+    """``(a + i*b) / d`` from an already canonical triple."""
+    x = object.__new__(GaussianRational)
+    x._a, x._b, x._d = a, b, d
+    return x
+
+
+def _canonical(a: int, b: int, d: int) -> GaussianRational:
+    """``(a + i*b) / d`` for ``d > 0``, reduced to lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _qi(a, b, d)
 
 
 #: The imaginary unit of Q(i).
@@ -272,14 +325,27 @@ def get_term_cap() -> int:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Product of two monomials: a merge of their sorted factor lists."""
     if not a:
         return b
     if not b:
         return a
-    d = dict(a)
-    for ind, p in b:
-        d[ind] = d.get(ind, 0) + p
-    return tuple(sorted(d.items()))
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        (x, p), (y, q) = a[i], b[j]
+        if x == y:
+            out.append((x, p + q))
+            i += 1
+            j += 1
+        elif x < y:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +627,8 @@ def _collected(terms, out=None) -> DiffPoly:
 def _mono_without(mono: Monomial, idx: int) -> Monomial:
     """``mono`` with one power of its ``idx``-th factor removed."""
     ind, power = mono[idx]
-    rest = mono[:idx] + mono[idx + 1 :]
-    return tuple(sorted(rest + ((ind, power - 1),))) if power > 1 else rest
+    lowered = ((ind, power - 1),) if power > 1 else ()
+    return mono[:idx] + lowered + mono[idx + 1 :]
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,25 @@ class TestMalformedConfig:
         code, out, err = run(capsys, command, "--config", str(path))
         assert code == 2 and f"config field {field} must be a whole number" in err and out == ""
 
+    @pytest.mark.parametrize(
+        "frame,needle",
+        [
+            ({"kind": "diagonal", "scalars": [["1/0", "0"]]}, "bad Q(i) scalar ['1/0', '0']"),
+            ({"kind": "diagonal", "scalars": [[1e400, 0]]}, "bad Q(i) scalar [inf, 0]"),
+            ({"kind": "diagonal", "scalars": ["12"]}, "must be a [re, im] pair, not '12'"),
+            (
+                {"kind": "custom", "basis": [[[["1/0", "0"], ["0", "0"]], [["0", "0"], ["-1", "0"]]]]},
+                "bad Q(i) scalar ['1/0', '0']",
+            ),
+        ],
+        ids=["zero-denominator", "overflow", "bare-string", "custom-basis"],
+    )
+    def test_malformed_frame_scalar(self, capsys, cfg_file, frame, needle):
+        # "1/0" and 1e400 ended in a traceback with exit 1; "12" was read
+        # as 1+2i
+        code, out, err = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, frame=frame)))
+        assert code == 2 and needle in err and out == ""
+
     def test_whole_float_fields_accepted(self, capsys, cfg_file):
         as_int = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, N=16, M=12)))
         as_float = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, N=16.0, M=12.0)))
