@@ -27,7 +27,7 @@ from .hierarchy import (
 )
 from .linearize import ExponentVector, FlowRecord
 from .loops import LoopSeries
-from .scalars import GaussianRational
+from .scalars import DerivationSymbol, GaussianRational
 from .solver import (
     AnnulusLoop,
     SolverParams,
@@ -37,26 +37,6 @@ from .solver import (
     random_loop,
     reduce_subhierarchy,
 )
-
-VALIDATION_ERRORS = (
-    errors.UnboundDerivative,
-    errors.WindowUnderflow,
-    errors.NotStrictlyNegative,
-    errors.NotUnipotent,
-    errors.SingularLeading,
-    errors.NotCommuting,
-    errors.NotTraceless,
-    errors.DependentBasis,
-    errors.ShapeViolation,
-    errors.IndexOutOfRange,
-    errors.SideMismatch,
-    errors.AliasingDetected,
-    errors.FlowSupportViolation,
-    ValueError,
-    KeyError,
-    TypeError,
-)
-
 
 def _emit(obj, fmt: str, render_text):
     if fmt == "json":
@@ -94,7 +74,7 @@ def load_loop(desc, n: int, N: int, seed: int | None) -> AnnulusLoop:
             f"of Fourier coefficients keyed by frequency, not {desc!r}"
         )
     if "random" in desc:
-        eps = float(desc["random"].get("eps", 0.1))
+        eps = _number("g.random.eps", desc["random"].get("eps", 0.1))
         if seed is None:
             raise ValueError("random loops need --seed (or config 'seed')")
         return random_loop(n, N, eps, seed=seed)
@@ -121,10 +101,12 @@ def parse_checks(items):
 def _frame_setup(cfg, args):
     """The matrix size and the frame of a config, with ``--n``/``--frame``."""
     n = args.n or _whole("n", cfg.get("n", 2))
-    frame_cfg = dict(cfg.get("frame") or {})
+    frame_cfg = cfg.get("frame") or {}
+    if not isinstance(frame_cfg, dict):
+        raise ValueError(f"config field frame must be a JSON object, not {frame_cfg!r}")
+    frame_cfg = dict(frame_cfg, n=_whole("frame.n", frame_cfg.get("n", n)))
     if args.frame:
         frame_cfg["kind"] = args.frame
-    frame_cfg.setdefault("n", n)
     return n, load_frame(frame_cfg)
 
 
@@ -137,16 +119,18 @@ def _solver_setup(cfg, args):
         N=_whole("N", cfg.get("N", 16)) if args.depth_N is None else args.depth_N,
         M=_whole("M", cfg.get("M", 12)) if args.depth_M is None else args.depth_M,
         grid=_whole("grid", cfg.get("grid", 128)),
-        fact_tol=float(
-            tolerances.get("fact_tol", 1e-10) if args.tol_fact is None else args.tol_fact
+        fact_tol=(
+            _number("tolerances.fact_tol", tolerances.get("fact_tol", 1e-10))
+            if args.tol_fact is None
+            else args.tol_fact
         ),
-        cond_max=float(tolerances.get("cond_max", 1e10)),
-        tail_tol=float(tolerances.get("tail_tol", 1e-8)),
+        cond_max=_number("tolerances.cond_max", tolerances.get("cond_max", 1e10)),
+        tail_tol=_number("tolerances.tail_tol", tolerances.get("tail_tol", 1e-8)),
     )
     seed = args.seed if args.seed is not None else cfg.get("seed")
     g = load_loop(cfg.get("g"), n, params.N, seed)
     l = ExponentVector([_whole(f"l[{i}]", x) for i, x in enumerate(cfg.get("l", [0] * n))])
-    flows = FlowRecord(cfg.get("flows", {}))
+    flows = _flows(cfg.get("flows", {}))
     prov = provenance_hash(
         {
             "n": n,
@@ -167,6 +151,28 @@ def _whole(field: str, value) -> int:
     if type(value) is not int and not (isinstance(value, float) and value.is_integer()):
         raise ValueError(f"config field {field} must be a whole number, not {value!r}")
     return int(value)
+
+
+def _number(field: str, value) -> float:
+    """A config value that must be a JSON number (not a string or a bool)."""
+    if type(value) not in (int, float):
+        raise ValueError(f"config field {field} must be a number, not {value!r}")
+    return float(value)
+
+
+def _flows(value) -> FlowRecord:
+    """The config's flows: an object mapping "m,alpha" keys to numbers."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config field flows must be a JSON object, not {value!r}")
+    for key, v in value.items():
+        try:
+            DerivationSymbol.parse(key)
+        except ValueError:
+            raise ValueError(
+                f"config field flows key {key!r} must read \"m,alpha\" with whole numbers"
+            ) from None
+        _number(f"flows[{key!r}]", v)
+    return FlowRecord(value)
 
 
 def provenance_hash(obj) -> str:
@@ -396,10 +402,7 @@ def main(argv=None) -> int:
     except errors.ResourceExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (errors.LoopLaxError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -396,55 +396,6 @@ def deform(
 # Cut-offs and residuals
 # ---------------------------------------------------------------------------
 
-def _total_view(series: LoopSeries, direction: str, lo: int, hi: int) -> LoopSeries:
-    """View a finitely supported, fully-known loop as exact on [lo, hi].
-
-    Sound for projection outputs and trivial generators, which vanish
-    identically outside their stored support.
-    """
-    supp = series.support()
-    if supp:
-        lo, hi = min(lo, supp[0]), max(hi, supp[-1])
-    if lo > hi:
-        lo = hi
-    if series.direction != direction:
-        return series.reinterpreted(direction, (lo, hi))
-    return series.widened(lo, hi)
-
-
-def _total_view_for(x: LoopSeries, target: LoopSeries) -> LoopSeries:
-    """A total, nonzero ``x`` in the algebra of ``target``, on the window
-    that its products with ``target`` can use in full."""
-    supp = x.support()
-    if target.direction == "z":
-        return _total_view(x, "z", target.lo + supp[-1] - target.hi, supp[-1])
-    return _total_view(x, "zinv", supp[0], target.hi + supp[0] - target.lo)
-
-
-def _bracket_total_with(cut: LoopSeries, target: LoopSeries) -> LoopSeries:
-    """[cut, target] where ``cut`` is total; exact on the largest window the
-    target's own truncation permits."""
-    if cut.is_zero():
-        return LoopSeries.zeros(target.n, target.window, target.direction)
-    return _total_view_for(cut, target).bracket(target)
-
-
-def _bracket_totals(x: LoopSeries, y: LoopSeries, direction: str) -> LoopSeries:
-    """[x, y] for two total loops; exact on the full support sum."""
-    xs, ys = x.support(), y.support()
-    if not xs or not ys:
-        return LoopSeries.zeros(x.n, (0, 0), direction)
-    lo = min(xs) + min(ys)
-    hi = max(xs) + max(ys)
-    if direction == "z":
-        xv = _total_view(x, direction, lo - max(ys), max(xs))
-        yv = _total_view(y, direction, lo - max(xs), max(ys))
-    else:
-        xv = _total_view(x, direction, min(xs), hi - min(ys))
-        yv = _total_view(y, direction, min(ys), hi - min(xs))
-    return xv.bracket(yv)
-
-
 def _split(d: Deformation, m: int):
     """The splitting behind flow degree ``m``: ``(family, shift, region)``.
 
@@ -470,8 +421,8 @@ def cutoff(d: Deformation, m: int, alpha: int) -> LoopSeries:
     kind: the strictly positive part of ``V_alpha z^{m-1}`` (m >= 1).
     Combined kind: the plain cut-off for m >= 0 and the strictly negative
     part of ``W_alpha z^{m+1}`` (in the z^{-1}-graded algebra) for m < 0.
-    The result is finitely supported and fully known (zero outside its
-    support by construction).
+    The result is total (a polynomial loop, known at every power) whenever
+    the dressed generator is known on the whole kept region.
     """
     family, shift, region = _split(d, m)
     return d.target(family, alpha).shift(shift).project(region)
@@ -480,7 +431,7 @@ def cutoff(d: Deformation, m: int, alpha: int) -> LoopSeries:
 def corollary_part(d: Deformation, m: int, alpha: int) -> LoopSeries:
     """The complementary part of the cut-off (A for the z-graded families,
     D for the strict family, and the mirrored part for combined negative
-    flows).  Also finitely supported within the window."""
+    flows).  A projection onto the truncated side, so not total."""
     family, shift, region = _split(d, m)
     return -(d.target(family, alpha).shift(shift).project(region.complement))
 
@@ -488,7 +439,7 @@ def corollary_part(d: Deformation, m: int, alpha: int) -> LoopSeries:
 def lax_rhs(d: Deformation, m: int, alpha: int, family: str, idx: int) -> LoopSeries:
     """The Lax right-hand side [cutoff_{m,alpha}, target]; symbolic callers
     use it as the substituted value of the flow derivative."""
-    return _bracket_total_with(cutoff(d, m, alpha), d.target(family, idx))
+    return cutoff(d, m, alpha).bracket(d.target(family, idx))
 
 
 def lax_residual(
@@ -506,12 +457,11 @@ def lax_residual(
     target (Lax-substituted for symbolic backends, finite differences for
     numeric ones).  ``family`` selects the target family for the combined
     kind ("u" or "w"); ``cutoff_series`` overrides the cut-off, e.g. for
-    perturbation studies.
+    perturbation studies, and is read as a cut-off: a total series.
     """
     family = family or d.default_family()
-    cut = cutoff_series if cutoff_series is not None else cutoff(d, m, alpha1)
-    target = d.target(family, alpha2)
-    return derivative - _bracket_total_with(cut, target)
+    cut = cutoff(d, m, alpha1) if cutoff_series is None else cutoff_series.as_total()
+    return derivative - cut.bracket(d.target(family, alpha2))
 
 
 def cutoff_lax_derivative(
@@ -537,17 +487,6 @@ def corollary_lax_derivative(
     return -(rhs.shift(shift).project(region.complement))
 
 
-def _curvature(p1: LoopSeries, p2: LoopSeries, d1_of_p2, d2_of_p1) -> LoopSeries:
-    """``d_1(P_2) - d_2(P_1) - [P_1, P_2]`` for two cut-off style parts.
-
-    In the mixed combined case the parts live in opposite gradings; both are
-    finite and total, so the bracket and the derivatives are taken in the
-    z-graded algebra."""
-    direction = p1.direction if p1.direction == p2.direction else "z"
-    d1, d2 = (_total_view(x, direction, x.lo, x.hi) for x in (d1_of_p2, d2_of_p1))
-    return d1 - d2 - _bracket_totals(p1, p2, direction)
-
-
 def zc_residual(
     d: Deformation,
     m1: int,
@@ -561,7 +500,7 @@ def zc_residual(
     ``d_1(C_2) - d_2(C_1) - [C_1, C_2]``
     with the kind-appropriate cut-offs; derivatives supplied by the caller.
     """
-    return _curvature(cutoff(d, m1, alpha1), cutoff(d, m2, alpha2), d1_of_c2, d2_of_c1)
+    return d1_of_c2 - d2_of_c1 - cutoff(d, m1, alpha1).bracket(cutoff(d, m2, alpha2))
 
 
 def corollary_residual(
@@ -582,7 +521,7 @@ def corollary_residual(
         raise IndexOutOfRange("corollary parts mix only same-sign flows")
     a1 = corollary_part(d, m1, alpha1)
     a2 = corollary_part(d, m2, alpha2)
-    return _curvature(a1, a2, d1_of_a2, d2_of_a1)
+    return d1_of_a2 - d2_of_a1 - a1.bracket(a2)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import itertools
 from typing import Mapping
 
 from .errors import IndexOutOfRange, ShapeViolation, SideMismatch, WindowUnderflow
-from .hierarchy import CommutativeFrame, _check_witness, _total_view_for
+from .hierarchy import CommutativeFrame, _check_witness
 from .loops import LoopSeries, Region
 from .scalars import DerivationSymbol, DiffPoly
 
@@ -296,10 +296,9 @@ class OscillatingMatrix:
 
 
 def _generator_view(frame: CommutativeFrame, alpha: int, power: int, k: LoopSeries):
-    """``E_alpha z^power`` in the scalar backend and algebra of ``k``, on
-    the window a right product with ``k`` needs."""
-    e = frame.generator_series(alpha, power, k.direction, numeric=k.numeric)
-    return _total_view_for(e, k)
+    """``E_alpha z^power`` as a total series in the scalar backend and
+    algebra of ``k``."""
+    return frame.generator_series(alpha, power, k.direction, numeric=k.numeric).as_total()
 
 
 def _derive_series(series: LoopSeries, sym: DerivationSymbol) -> LoopSeries:

@@ -16,6 +16,11 @@ Two infinite algebras share this one representation, distinguished by the
 * ``"zinv"`` -- the mirror image: finitely many negative powers, unbounded
   upward.  Below ``lo`` exactly zero, above ``hi`` unknown.
 
+A *total* series is a polynomial loop: exact at every power, zero outside
+its window, and so a member of both algebras.  Projections onto a fully
+known region (every cut-off) are total; products and sums of total series
+stay total, and a total operand imposes no truncation on the other one.
+
 Every operation computes the largest window on which its output is exactly
 correct given the input windows, and raises :class:`WindowUnderflow` rather
 than silently returning truncation garbage when a caller requests more.
@@ -223,9 +228,11 @@ def _freeze(mat):
 class LoopSeries:
     """A truncated matrix Laurent series.  Immutable by convention."""
 
-    __slots__ = ("n", "window", "coeffs", "direction")
+    __slots__ = ("n", "window", "coeffs", "direction", "total")
 
-    def __init__(self, n: int, coeffs: Mapping[int, tuple], window, direction: str = "z"):
+    def __init__(
+        self, n: int, coeffs: Mapping[int, tuple], window, direction="z", total=False
+    ):
         if direction not in ("z", "zinv"):
             raise ValueError(f"bad direction {direction!r}")
         win = Window.make(*window)
@@ -243,6 +250,7 @@ class LoopSeries:
         object.__setattr__(self, "window", win)
         object.__setattr__(self, "coeffs", stored)
         object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "total", bool(total))
 
     def __setattr__(self, name, value):
         raise AttributeError("LoopSeries is immutable")
@@ -282,6 +290,8 @@ class LoopSeries:
 
     def known(self, k: int) -> bool:
         """Is the coefficient of ``z**k`` determined by this truncation?"""
+        if self.total:
+            return True
         if self.direction == "z":
             return k >= self.lo
         return k <= self.hi
@@ -347,7 +357,7 @@ class LoopSeries:
             raise WindowUnderflow(
                 f"restriction to [{lo},{hi}] would discard known support at {dropped}"
             )
-        return LoopSeries(self.n, self.coeffs, (lo, hi), self.direction)
+        return self._like(self.coeffs, (lo, hi))
 
     def truncated(self, lo: int, hi: int) -> "LoopSeries":
         """Deliberately forget content toward the unbounded direction.
@@ -367,54 +377,56 @@ class LoopSeries:
         kept = {k: m for k, m in self.coeffs.items() if lo <= k <= hi}
         return LoopSeries(self.n, kept, (lo, hi), self.direction)
 
-    def widened(self, lo: int | None = None, hi: int | None = None) -> "LoopSeries":
-        """Enlarge the window, asserting the series is exactly zero there.
+    def as_total(self) -> "LoopSeries":
+        """Assert that the series is a polynomial loop: every power outside
+        the stored support is exactly zero.  Sound for cut-offs, trivial
+        generators and other finitely supported, fully known loops."""
+        return LoopSeries(self.n, self.coeffs, self.window, self.direction, True)
 
-        Sound only when the caller knows the truncated tail vanishes --
-        projection outputs and finitely supported total loops qualify.
-        """
-        lo = self.lo if lo is None else min(lo, self.lo)
-        hi = self.hi if hi is None else max(hi, self.hi)
-        return LoopSeries(self.n, self.coeffs, (lo, hi), self.direction)
-
-    def reinterpreted(self, direction: str, window=None) -> "LoopSeries":
-        """View a finitely supported, fully known loop in the other algebra.
-
-        Asserts totality: every power outside the stored support is exactly
-        zero.
-        """
-        if window is None:
-            window = self.window
-        return LoopSeries(self.n, self.coeffs, window, direction)
+    def _hull(self):
+        """(lo, hi) bounding the nonzero powers of a total series."""
+        if not self.coeffs:
+            return self.window
+        return min(self.coeffs), max(self.coeffs)
 
     # -- linear structure ----------------------------------------------------------
 
-    def _check_compat(self, other: "LoopSeries"):
+    def _algebra(self, other: "LoopSeries") -> str:
+        """The direction shared by ``self`` and ``other``: a total operand
+        lives in either algebra."""
         if self.n != other.n:
             raise ValueError("matrix sizes differ")
-        if self.direction != other.direction:
-            raise ValueError(
-                "directions differ; use reinterpreted() on a total series first"
-            )
+        if self.direction == other.direction or other.total:
+            return self.direction
+        if self.total:
+            return other.direction
+        raise ValueError("directions differ and neither series is total")
+
+    def _like(self, coeffs, window=None) -> "LoopSeries":
+        """A series with this one's size, direction and totality."""
+        window = self.window if window is None else window
+        return LoopSeries(self.n, coeffs, window, self.direction, self.total)
 
     def __add__(self, other):
         if not isinstance(other, LoopSeries):
             return NotImplemented
-        self._check_compat(other)
-        if self.direction == "z":
-            win = (max(self.lo, other.lo), max(self.hi, other.hi))
+        direction = self._algebra(other)
+        lo, hi = zip(self.window, other.window)
+        # a total operand is known at every power: only truncated operands
+        # bound the sum toward the unbounded end
+        cut = [s.window for s in (self, other) if not s.total]
+        if direction == "z":
+            win = (max((w.lo for w in cut), default=min(lo)), max(hi))
         else:
-            win = (min(self.lo, other.lo), min(self.hi, other.hi))
+            win = (min(lo), min((w.hi for w in cut), default=max(hi)))
         out = dict(self.coeffs)
         for k, m in other.coeffs.items():
             out[k] = mat_add(out[k], m) if k in out else m
         out = {k: m for k, m in out.items() if win[0] <= k <= win[1]}
-        return LoopSeries(self.n, out, win, self.direction)
+        return LoopSeries(self.n, out, win, direction, self.total and other.total)
 
     def __neg__(self):
-        return LoopSeries(
-            self.n, {k: mat_neg(m) for k, m in self.coeffs.items()}, self.window, self.direction
-        )
+        return self._like({k: mat_neg(m) for k, m in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LoopSeries):
@@ -422,9 +434,7 @@ class LoopSeries:
         return self + (-other)
 
     def smul(self, c) -> "LoopSeries":
-        return LoopSeries(
-            self.n, {k: mat_smul(c, m) for k, m in self.coeffs.items()}, self.window, self.direction
-        )
+        return self._like({k: mat_smul(c, m) for k, m in self.coeffs.items()})
 
     def __rmul__(self, c):
         if isinstance(c, LoopSeries):
@@ -433,12 +443,7 @@ class LoopSeries:
 
     def shift(self, j: int) -> "LoopSeries":
         """Multiply by the central element ``z**j``."""
-        return LoopSeries(
-            self.n,
-            {k + j: m for k, m in self.coeffs.items()},
-            (self.lo + j, self.hi + j),
-            self.direction,
-        )
+        return self._like({k + j: m for k, m in self.coeffs.items()}, (self.lo + j, self.hi + j))
 
     def reindexed(self) -> "LoopSeries":
         """The substitution ``z -> 1/z``: powers negate, direction flips."""
@@ -447,14 +452,13 @@ class LoopSeries:
             {-k: m for k, m in self.coeffs.items()},
             (-self.hi, -self.lo),
             "zinv" if self.direction == "z" else "z",
+            self.total,
         )
 
     def map_coeffs(self, f: Callable) -> "LoopSeries":
         """Apply ``f`` to every stored coefficient matrix (e.g. a constant
         conjugation or an entrywise derivation)."""
-        return LoopSeries(
-            self.n, {k: _freeze(f(m)) for k, m in self.coeffs.items()}, self.window, self.direction
-        )
+        return self._like({k: _freeze(f(m)) for k, m in self.coeffs.items()})
 
     # -- multiplication ----------------------------------------------------------------
 
@@ -464,11 +468,22 @@ class LoopSeries:
         For direction "z" that window is
         ``[max(lo1+hi2, lo2+hi1), hi1+hi2]`` (mirrored for "zinv"): each
         factor's unknown tail can pollute the product below that point and
-        nowhere above it.  A caller-requested ``window`` outside this range
-        raises :class:`WindowUnderflow`.
+        nowhere above it.  A total factor has no unknown tail, so only the
+        other factor's window, shifted by the total one's support, bounds
+        the product; two total factors give a total product.  A
+        caller-requested ``window`` outside this range raises
+        :class:`WindowUnderflow`.
         """
-        self._check_compat(other)
-        if self.direction == "z":
+        direction = self._algebra(other)
+        if self.total and other.total:
+            (lo1, hi1), (lo2, hi2) = self._hull(), other._hull()
+            wlo, whi = lo1 + lo2, hi1 + hi2
+        elif self.total or other.total:
+            poly, series = (self, other) if self.total else (other, self)
+            lo, hi = poly._hull()
+            edge = hi if direction == "z" else lo
+            wlo, whi = series.lo + edge, series.hi + edge
+        elif direction == "z":
             wlo = max(self.lo + other.hi, other.lo + self.hi)
             whi = self.hi + other.hi
         else:
@@ -481,7 +496,7 @@ class LoopSeries:
                 if wlo <= k <= whi:
                     p = mat_mul(a, b)
                     out[k] = mat_add(out[k], p) if k in out else p
-        result = LoopSeries(self.n, out, (wlo, whi), self.direction)
+        result = LoopSeries(self.n, out, (wlo, whi), direction, self.total and other.total)
         if window is not None:
             result = result.restricted(*window)
         return result
@@ -503,28 +518,29 @@ class LoopSeries:
         Outside the region the output vanishes by construction; inside it is
         exact wherever the input was.  The returned window records the
         largest contiguous range expressible under the direction's
-        truncation semantics.
+        truncation semantics; the output is total when the input is known on
+        the whole region.
         """
         kept = {k: m for k, m in self.coeffs.items() if region.contains(k)}
+        z = self.direction == "z"
+        # a region on the bounded side is fully known: its projection is total
         if region in (Region.GEQ0, Region.GT0):
             b = 0 if region is Region.GEQ0 else 1  # region = [b, inf)
-            if self.direction == "z":
+            total = z and self.lo <= b
+            if z:
                 win = (self.lo, max(self.hi, b))
+            elif self.hi < b:
+                win = (b - 1, b - 1)
             else:
-                if self.hi < b:
-                    return LoopSeries(self.n, {}, (b - 1, b - 1), "zinv")
                 win = (max(self.lo, b), self.hi)
         else:
             b = -1 if region is Region.LT0 else 0  # region = (-inf, b]
-            if self.direction == "z":
-                if self.lo > b:
-                    return LoopSeries(self.n, {}, (b + 1, b + 1), "z")
-                win = (self.lo, min(self.hi, b))
+            total = not z and self.hi >= b
+            if self.lo > b:
+                win = (b + 1, b + 1) if z else (b, b)
             else:
-                if self.lo > b:
-                    return LoopSeries(self.n, {}, (b, b), "zinv")
                 win = (self.lo, min(self.hi, b))
-        return LoopSeries(self.n, kept, win, self.direction)
+        return LoopSeries(self.n, kept, win, self.direction, self.total or total)
 
     # -- inversion and conjugation ----------------------------------------------------------
 

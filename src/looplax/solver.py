@@ -51,20 +51,12 @@ __all__ = [
     "HierarchySolution",
     "VerifyReport",
     "random_loop",
-    "gamma_eval",
-    "delta_twist",
     "birkhoff_factorize",
     "build_wave_pair",
     "extract_solution",
     "fd_verify",
     "reduce_subhierarchy",
 ]
-
-
-def _check_grid(G: int, N: int):
-    """The grid must be a power of two with at least 4N points."""
-    if G < 4 * N or G & (G - 1):
-        raise ValueError("grid must be a power of two with grid >= 4N")
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,8 @@ class SolverParams:
         for name in ("fact_tol", "cond_max", "tail_tol"):
             if not 0 < getattr(self, name) < float("inf"):
                 raise ValueError(f"{name} must be positive and finite")
-        _check_grid(self.grid, self.N)
+        if self.grid < 4 * self.N or self.grid & (self.grid - 1):
+            raise ValueError("grid must be a power of two with grid >= 4N")
 
     def to_obj(self):
         return asdict(self)
@@ -176,7 +169,11 @@ class AnnulusLoop:
         coeffs = {}
         for k, m in obj.items():
             try:
-                coeffs[k] = [[complex(re, im) for re, im in row] for row in m]
+                freq = int(k)
+            except ValueError:
+                raise ValueError(f"g key {k!r} must be a whole-number frequency") from None
+            try:
+                coeffs[freq] = [[complex(re, im) for re, im in row] for row in m]
             except (TypeError, ValueError) as exc:
                 raise ValueError(
                     f"g entry {k!r} is not a matrix of [re, im] pairs: {m!r}"
@@ -259,37 +256,6 @@ def _flow_grid_values(flows: FlowRecord, frame: CommutativeFrame, G: int, sign: 
     if not np.any(h):
         return np.broadcast_to(np.eye(n, dtype=complex), (G, n, n)).copy()
     return expm(h)
-
-
-def gamma_eval(
-    flows: FlowRecord,
-    frame: CommutativeFrame,
-    N: int,
-    grid_size: int,
-    tail_tol: float = 1e-8,
-) -> AnnulusLoop:
-    """Fourier coefficients of the commuting flow exponential gamma(t).
-
-    Evaluates pointwise on the unit circle, matrix-exponentiates, and
-    transforms back.  The frame is traceless, so the result has unit
-    determinant up to roundoff.  Raises :class:`AliasingDetected` when the
-    boundary coefficients carry more than ``tail_tol`` of the peak mass.
-    """
-    _check_grid(grid_size, N)
-    vals = _flow_grid_values(_flow_record(flows, N), frame, grid_size)
-    return _resolved_loop(vals, N, tail_tol, "flow exponential")[0]
-
-
-def delta_twist(l: ExponentVector, loop: AnnulusLoop) -> AnnulusLoop:
-    """Conjugation by the diagonal twist: entry (i, j) of frequency k moves
-    to frequency ``k + l_i - l_j``.  The frequency range grows as needed."""
-    lv = np.array(_exponent_vector(l, loop.n).l)
-    shifts = lv[:, None] - lv[None, :]
-    N2 = loop.N + int(lv.max() - lv.min())
-    out = np.zeros((2 * N2 + 1, loop.n, loop.n), dtype=complex)
-    i, j = np.indices(shifts.shape)
-    out[np.arange(-loop.N, loop.N + 1)[:, None, None] + shifts + N2, i, j] += loop.coeffs
-    return AnnulusLoop(loop.n, out)
 
 
 def _twist_grid(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:

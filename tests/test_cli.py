@@ -207,6 +207,25 @@ class TestMalformedConfig:
         assert code == 2 and "non-finite" in err and "SVD" not in err and out == ""
 
 
+    @pytest.mark.parametrize(
+        "change,needle",
+        [
+            ({"flows": {"a": 0.1}}, "flows key 'a' must read \"m,alpha\""),
+            ({"flows": {"1,1": "x"}}, "flows['1,1'] must be a number, not 'x'"),
+            ({"flows": [["1,1", 0.1]]}, "flows must be a JSON object"),
+            ({"g": {"x": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}, "g key 'x' must be a whole-number"),
+            ({"g": {"random": {"eps": "a"}}}, "g.random.eps must be a number, not 'a'"),
+            ({"tolerances": {"fact_tol": "a"}}, "tolerances.fact_tol must be a number, not 'a'"),
+            ({"frame": {"kind": "diagonal", "n": "2"}}, "frame.n must be a whole number, not '2'"),
+            ({"frame": 5}, "frame must be a JSON object"),
+        ],
+        ids=["flow-key", "flow-value", "flows-list", "g-key", "eps", "fact-tol", "frame-n", "frame"],
+    )
+    def test_malformed_field_named(self, capsys, cfg_file, change, needle):
+        # each of these exited 2 with a bare Python message that named no field
+        code, out, err = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, **change)))
+        assert code == 2 and needle in err and out == ""
+
     def test_non_commuting_twist(self, capsys, cfg_file):
         # delta(l) must commute with the frame; this one used to verify with
         # order-one residuals and exit 0

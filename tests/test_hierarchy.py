@@ -250,7 +250,7 @@ class TestLaxResidual:
         d = deform(HierarchyKind.STANDARD, f, random_negative_witness(rng, 2, 4))
         rhs = lax_rhs(d, 0, 1, "u", 1)
         e1 = LoopSeries.monomial(f.generator(1), 0, (-4, 0))
-        direct = e1.widened(lo=-8).bracket(d.series[0])
+        direct = e1.as_total().bracket(d.series[0])
         assert rhs.equals(direct)
 
     def test_off_diagonal_forcing(self):
@@ -302,6 +302,22 @@ class TestZeroCurvature:
                 d1 = cutoff_lax_derivative(d, m1, a1, m2, a2)
                 d2 = cutoff_lax_derivative(d, m2, a2, m1, a1)
                 assert zc_residual(d, m1, a1, m2, a2, d1, d2).is_zero()
+
+    def test_negative_pair_residual_sees_z_inverse(self, rng):
+        # both cut-offs of (-2, 1, -1, 1) are polynomials, and d_1(C_2) has
+        # support at z^-1: a derivative wrong only there must show
+        d = deform(
+            HierarchyKind.COMBINED,
+            akns_frame(),
+            random_negative_witness(rng, 2, 4),
+            random_geq_witness(rng, 2, 4),
+        )
+        m1, a1, m2, a2 = -2, 1, -1, 1
+        d1 = cutoff_lax_derivative(d, m1, a1, m2, a2)
+        d2 = cutoff_lax_derivative(d, m2, a2, m1, a1)
+        assert zc_residual(d, m1, a1, m2, a2, d1, d2).is_zero()
+        bump = LoopSeries.monomial(((0, GaussianRational(1)), (0, 0)), -1, direction="zinv")
+        assert not zc_residual(d, m1, a1, m2, a2, d1 + bump, d2).is_zero()
 
     def test_corollary_parts_vanish(self, rng):
         frame = akns_frame()

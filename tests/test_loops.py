@@ -64,7 +64,7 @@ class TestProjections:
     def test_partition_random_zinv(self, rng):
         for _ in range(50):
             x = rand_series(rng, direction="zinv")
-            assert (x.project(Region.GEQ0) + x.project(Region.LT0).widened(hi=x.hi)).equals(x)
+            assert (x.project(Region.GEQ0) + x.project(Region.LT0).as_total()).equals(x)
 
     def test_idempotence(self, rng):
         for _ in range(100):

@@ -23,13 +23,14 @@ from looplax.loops import LoopSeries
 from looplax.solver import (
     AnnulusLoop,
     SolverParams,
+    _exponent_vector,
     _flow_grid_values,
+    _flow_record,
+    _twist_grid,
     birkhoff_factorize,
     build_wave_pair,
-    delta_twist,
     extract_solution,
     fd_verify,
-    gamma_eval,
     random_loop,
     reduce_subhierarchy,
 )
@@ -48,6 +49,25 @@ def to_series(loop, direction, window=None):
         if np.any(loop.coeff(k) != 0)
     }
     return LoopSeries(loop.n, coeffs, window or (-loop.N, loop.N), direction)
+
+
+def gamma_eval(flows, frame, N, grid_size):
+    """Reference: Fourier coefficients of the flow exponential gamma(t), read
+    off the solver's exponential on the grid (with its flow-degree cap)."""
+    return AnnulusLoop.from_grid(_flow_grid_values(_flow_record(flows, N), frame, grid_size), N)
+
+
+def delta_twist(l, loop):
+    """Reference twist on Fourier coefficients: entry (i, j) of frequency k
+    moves to frequency ``k + l_i - l_j``; the frequency range grows as
+    needed."""
+    lv = np.array(_exponent_vector(l, loop.n).l)
+    shifts = lv[:, None] - lv[None, :]
+    N2 = loop.N + int(lv.max() - lv.min())
+    out = np.zeros((2 * N2 + 1, loop.n, loop.n), dtype=complex)
+    i, j = np.indices(shifts.shape)
+    out[np.arange(-loop.N, loop.N + 1)[:, None, None] + shifts + N2, i, j] += loop.coeffs
+    return AnnulusLoop(loop.n, out)
 
 
 def small_pair(seed=7, eps=0.1, flows=None, l=(0, 0)):
@@ -158,6 +178,14 @@ class TestDeltaTwist:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="exponent vector length"):
             delta_twist([1], random_loop(2, 8, 0.2, seed=6))
+
+    def test_matches_grid_twist(self):
+        # the solver twists grid values entrywise by z**(l_i - l_j)
+        g = random_loop(3, 8, 0.2, seed=6)
+        lv = np.array([2, -1, 0])
+        ref = delta_twist(lv, g)
+        got = AnnulusLoop.from_grid(_twist_grid(g.grid_values(64), lv[:, None] - lv[None, :]), ref.N)
+        assert np.max(np.abs(got.coeffs - ref.coeffs)) < 1e-13
 
 
 class TestBirkhoff:
@@ -459,8 +487,8 @@ def reference_dressing(w, depth):
     u_inv, p_inv = u.invert(), p.invert()
     us, ws = [], []
     for alpha in range(1, frame.r + 1):
-        e0 = frame.generator_series(alpha, 0, "z", numeric=True).widened(lo=-2 * M)
-        ew = frame.generator_series(alpha, -1, "zinv", numeric=True).widened(hi=2 * M - 1)
+        e0 = frame.generator_series(alpha, 0, "z", numeric=True).as_total()
+        ew = frame.generator_series(alpha, -1, "zinv", numeric=True).as_total()
         us.append(u.mul(e0).mul(u_inv).truncated(-depth, 0))
         ws.append(p.mul(ew).mul(p_inv).truncated(-1, depth - 1))
     return us, ws
