@@ -20,6 +20,7 @@ from .hierarchy import (
     CommutativeFrame,
     HierarchyKind,
     akns_reduce,
+    cutoff,
     cutoff_lax_derivative,
     deform,
     make_frame,
@@ -298,7 +299,15 @@ def cmd_zc_check(args) -> int:
     kind = HierarchyKind(cfg.get("kind", "standard"))
     d = _random_exact_dressing(kind, frame, depth, seed)
     results = {}
-    for m1, a1, m2, a2 in pairs:
+    for i, (m1, a1, m2, a2) in enumerate(pairs):
+        # a cut-off unknown at some power leaves the residual nothing exact to
+        # check there: refuse the pair rather than report a vacuous zero
+        if not (cutoff(d, m1, a1).total and cutoff(d, m2, a2).total):
+            need = max(_cutoff_depth(kind, m) for m in (m1, m2))
+            raise ValueError(
+                f"pairs[{i}] = {[m1, a1, m2, a2]} needs depth >= {need} for cut-offs "
+                f"known at every power, got depth {depth}"
+            )
         d1 = cutoff_lax_derivative(d, m1, a1, m2, a2)
         d2 = cutoff_lax_derivative(d, m2, a2, m1, a1)
         res = zc_residual(d, m1, a1, m2, a2, d1, d2)
@@ -306,6 +315,14 @@ def cmd_zc_check(args) -> int:
     obj = {"mode": "symbolic", "kind": kind.value, "seed": seed, "zero": results}
     _emit(obj, args.format, lambda o: "\n".join(f"{k}: {'zero' if v else 'NONZERO'}" for k, v in sorted(o["zero"].items())))
     return 0 if all(results.values()) else 1
+
+
+def _cutoff_depth(kind: HierarchyKind, m: int) -> int:
+    """The least depth of :func:`_random_exact_dressing` at which the cut-off
+    of flow degree ``m`` is total."""
+    if kind is HierarchyKind.STRICT:
+        return m - 1
+    return m if m >= 0 else -m - 1
 
 
 def _random_exact_dressing(kind, frame, depth, seed):

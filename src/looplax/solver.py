@@ -354,6 +354,40 @@ class WaveMatrixPair:
     diagnostics: dict
 
 
+def _deviation_grid(g: AnnulusLoop, G: int) -> np.ndarray:
+    """``g - Id`` on the grid, with Id subtracted in coefficient space so
+    the identity loop stays exact."""
+    g_m_id = AnnulusLoop(g.n, g.coeffs.copy())
+    g_m_id.coeffs[g_m_id.N] = g_m_id.coeffs[g_m_id.N] - np.eye(g.n, dtype=complex)
+    return g_m_id.grid_values(G)
+
+
+def _factorize_conjugated(
+    gam: np.ndarray, dev: np.ndarray, lv: np.ndarray, flows: FlowRecord,
+    frame: CommutativeFrame, params: SolverParams,
+):
+    """Factorize the conjugated loop from gamma(t) and ``g - Id`` on the grid.
+
+    ``lv`` is the twist's exponent vector, already checked against the
+    frame.  Returns ``(u_minus, p_plus, conjugated loop, tail ratio)``;
+    :class:`BigCellViolation` propagates from the factorization.
+    """
+    G, eye = len(gam), np.eye(len(lv), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        gam_inv = _flow_grid_values(flows, frame, G, sign=-1.0)
+        av = _twist_grid(gam @ dev @ gam_inv, lv[:, None] - lv[None, :]) + eye
+    if not np.all(np.isfinite(av)):
+        raise ValueError(
+            "conjugated loop has non-finite grid values: a flow value or the "
+            "loop g is too large or not finite"
+        )
+    aloop, tail = _resolved_loop(av, G // 2 - 1, params.tail_tol, "conjugated loop")
+    u_minus, p_plus = birkhoff_factorize(
+        aloop, params.M, fact_tol=params.fact_tol, cond_max=params.cond_max
+    )
+    return u_minus, p_plus, aloop, tail
+
+
 def build_wave_pair(
     g: AnnulusLoop,
     l,
@@ -362,7 +396,7 @@ def build_wave_pair(
     params: SolverParams | None = None,
 ) -> WaveMatrixPair:
     """Factorize ``delta(l) gamma(t) g gamma(t)^{-1} delta(-l)`` and keep the
-    two factors with their provenance.
+    two factors with their provenance and diagnostics.
 
     The conjugation is evaluated pointwise on the grid as
     ``Id + Gamma (g - Id) Gamma^{-1}`` (twisted entrywise), which is exact
@@ -375,27 +409,14 @@ def build_wave_pair(
     l = _exponent_vector(l, g.n).check_commutes(frame)
     flows = _flow_record(flows, params.N)
     lv = np.array(l.l)
-    G = params.grid
-    eye = np.eye(g.n, dtype=complex)
-    # subtract Id in coefficient space so the identity loop stays exact
-    g_m_id = AnnulusLoop(g.n, g.coeffs.copy())
-    g_m_id.coeffs[g_m_id.N] = g_m_id.coeffs[g_m_id.N] - eye
-    dev = g_m_id.grid_values(G)
-    G2 = 2 * G
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+    G2 = 2 * params.grid
+    dev = _deviation_grid(g, params.grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in the core
         # gamma on the doubled grid feeds the diagnostics; its even samples
         # are gamma on the grid
         gam2 = _flow_grid_values(flows, frame, G2)
-        gam_inv = _flow_grid_values(flows, frame, G, sign=-1.0)
-        av = _twist_grid(gam2[::2] @ dev @ gam_inv, lv[:, None] - lv[None, :]) + eye
-    if not np.all(np.isfinite(av)):
-        raise ValueError(
-            "conjugated loop has non-finite grid values: a flow value or the "
-            "loop g is too large or not finite"
-        )
-    aloop, tail = _resolved_loop(av, G // 2 - 1, params.tail_tol, "conjugated loop")
-    u_minus, p_plus = birkhoff_factorize(
-        aloop, params.M, fact_tol=params.fact_tol, cond_max=params.cond_max
+    u_minus, p_plus, aloop, tail = _factorize_conjugated(
+        gam2[::2], dev, lv, flows, frame, params
     )
     # diagnostics on the doubled grid (p_plus carries frequencies up to N+M)
     uv = u_minus.grid_values(G2)
@@ -594,19 +615,29 @@ def fd_verify(
     compares the finite-difference derivative against the bracket produced
     by the hierarchy engine.  One Richardson step (h and h/2) removes the
     leading h^2 truncation term.  A perturbed point outside the big cell
-    marks the check inconclusive rather than failed.
+    marks the check inconclusive rather than failed.  The report holds
+    residuals only: every solve skips the diagnostics of
+    :func:`build_wave_pair` and evaluates gamma(t) on the grid itself, not
+    on the doubled grid.
     """
     if not 0 < h < float("inf"):
         raise ValueError(f"finite-difference step must be positive and finite, got {h}")
     params = params or SolverParams()
-    flows = FlowRecord(flows)
-    l = ExponentVector(l)
+    l = _exponent_vector(l, g.n).check_commutes(frame)
+    flows = _flow_record(flows, params.N)
+    lv = np.array(l.l)
+    dev = _deviation_grid(g, params.grid)
     cache: dict = {}
 
     def solve_at(fl: FlowRecord) -> HierarchySolution:
         key = tuple(sorted((k, complex(v)) for k, v in fl.items()))
         if key not in cache:
-            cache[key] = extract_solution(build_wave_pair(g, l, fl, frame, params))
+            fl = _flow_record(fl, params.N)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked in the core
+                gam = _flow_grid_values(fl, frame, params.grid)
+            u_minus, p_plus, _, tail = _factorize_conjugated(gam, dev, lv, fl, frame, params)
+            w = WaveMatrixPair(u_minus, p_plus, l, fl, g, frame, params, {"tail_ratio": tail})
+            cache[key] = extract_solution(w)
         return cache[key]
 
     base = solve_at(flows)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from looplax.cli import main, parse_checks
+from looplax.cli import _cutoff_depth, _random_exact_dressing, main, parse_checks
+from looplax.errors import IndexOutOfRange
+from looplax.hierarchy import HierarchyKind, cutoff, make_frame
 
 
 def run(capsys, *argv):
@@ -112,6 +114,18 @@ class TestZcCheck:
         obj = json.loads(out)
         assert code == 0
         assert all(obj["zero"].values())
+
+    @pytest.mark.parametrize("kind", list(HierarchyKind))
+    def test_cutoff_depth_is_where_cutoffs_turn_total(self, kind):
+        frame = make_frame("diagonal", 2)
+        for depth in range(5):
+            d = _random_exact_dressing(kind, frame, depth, seed=1)
+            for m in range(-6, 7):
+                try:
+                    total = cutoff(d, m, 1).total
+                except IndexOutOfRange:
+                    continue  # not a flow of this kind
+                assert total == (depth >= _cutoff_depth(kind, m)), (depth, m)
 
     def test_numeric_mode(self, capsys, cfg_file):
         cfg = dict(SOLVE_CFG, mode="numeric", pairs=[[-1, 1, 1, 1]])
@@ -275,6 +289,17 @@ class TestMalformedConfig:
         # as 1+2i
         code, out, err = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, frame=frame)))
         assert code == 2 and needle in err and out == ""
+
+    @pytest.mark.parametrize(
+        "pair,need", [([3, 1, 3, 1], 3), ([1, 1, 3, 1], 3)], ids=["both", "second"]
+    )
+    def test_zc_pair_beyond_depth(self, capsys, cfg_file, pair, need):
+        # a cut-off that is not total left no power to check: these printed
+        # "zero": true and exited 0
+        cfg = {"mode": "symbolic", "kind": "standard", "depth": 2, "pairs": [[0, 1, 1, 1], pair]}
+        code, out, err = run(capsys, "zc-check", "--config", cfg_file(cfg))
+        assert code == 2 and out == ""
+        assert f"pairs[1] = {pair} needs depth >= {need}" in err and "got depth 2" in err
 
     def test_whole_float_fields_accepted(self, capsys, cfg_file):
         as_int = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, N=16, M=12)))

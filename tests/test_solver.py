@@ -23,7 +23,9 @@ from looplax.loops import LoopSeries
 from looplax.solver import (
     AnnulusLoop,
     SolverParams,
+    _deviation_grid,
     _exponent_vector,
+    _factorize_conjugated,
     _flow_grid_values,
     _flow_record,
     _twist_grid,
@@ -288,6 +290,29 @@ class TestWavePair:
         small_pair(seed=9)
         assert sorted(calls) == [(PARAMS.grid, -1.0), (2 * PARAMS.grid, 1.0)]
 
+    def test_fd_verify_solves_on_the_grid_only(self, monkeypatch):
+        # 17 solves for the four checks of a verify_small operation, each with
+        # gamma and its inverse on the grid and none on the doubled grid
+        calls, factorizations = [], []
+
+        def counted(flows, frame, G, sign=1.0):
+            calls.append((G, sign))
+            return _flow_grid_values(flows, frame, G, sign)
+
+        def counted_factorize(loop, M, fact_tol=1e-10, cond_max=1e10):
+            factorizations.append(M)
+            return birkhoff_factorize(loop, M, fact_tol=fact_tol, cond_max=cond_max)
+
+        monkeypatch.setattr("looplax.solver._flow_grid_values", counted)
+        monkeypatch.setattr("looplax.solver.birkhoff_factorize", counted_factorize)
+        fd_verify(
+            random_loop(2, 16, 0.1, seed=9), [0, 0], FRAME, {"1,1": 0.1, "-1,1": 0.05},
+            checks=[("lax", 0, 1), ("lax", 1, 1), ("lax", 2, 1), ("zc", -1, 1, 1, 1)],
+            params=PARAMS,
+        )
+        assert len(factorizations) == 17
+        assert sorted(calls) == [(PARAMS.grid, -1.0)] * 17 + [(PARAMS.grid, 1.0)] * 17
+
     @pytest.mark.parametrize("value", [1e6, float("nan"), float("inf")])
     def test_non_finite_grid_values_rejected(self, value):
         g = random_loop(2, 16, 0.1, seed=7)
@@ -332,6 +357,61 @@ class TestTwistAdmissibility:
             build_wave_pair(g, l, {"1,1": 0.1}, frame, PARAMS)
         with pytest.raises(IndexOutOfRange, match=re.escape(needle)):
             fd_verify(g, l, frame, {"1,1": 0.1}, checks=[("lax", 1, 1)], params=PARAMS)
+
+
+IDENTITY_CASES = [
+    ("diagonal", 2, [1, 0]),
+    ("unipotent", 2, [2, 2]),
+    ("diagonal", 3, [1, 0, -1]),
+    ("unipotent", 3, [1, 1, 1]),
+]
+
+
+class TestFactorizationCore:
+    """``fd_verify`` solves through the factorization core, without the
+    wave-pair diagnostics; its outputs match the ``build_wave_pair`` path bit
+    for bit."""
+
+    FLOWS = {"1,1": 0.1, "-1,1": 0.05}
+
+    @staticmethod
+    def checks(n):
+        if n == 2:
+            return [("lax", 0, 1), ("lax", 1, 1), ("lax", 2, 1), ("zc", -1, 1, 1, 1)]
+        return [("lax", 1, 2), ("zc", -1, 1, 1, 2)]
+
+    @pytest.mark.parametrize("seed", [3, 14, 15])
+    @pytest.mark.parametrize("kind, n, l", IDENTITY_CASES)
+    def test_core_factors_match_wave_pair(self, kind, n, l, seed):
+        frame, g = make_frame(kind, n), random_loop(n, 16, 0.1, seed=seed)
+        flows = _flow_record(self.FLOWS, PARAMS.N)
+        lv = np.array(_exponent_vector(l, n).check_commutes(frame).l)
+        gam = _flow_grid_values(flows, frame, PARAMS.grid)
+        u_minus, p_plus, _, _ = _factorize_conjugated(
+            gam, _deviation_grid(g, PARAMS.grid), lv, flows, frame, PARAMS
+        )
+        w = build_wave_pair(g, l, self.FLOWS, frame, PARAMS)
+        assert np.array_equal(u_minus.coeffs, w.u_minus.coeffs)
+        assert np.array_equal(p_plus.coeffs, w.p_plus.coeffs)
+
+    @pytest.mark.parametrize("seed", [3, 14, 15])
+    @pytest.mark.parametrize("kind, n, l", IDENTITY_CASES)
+    def test_fd_verify_matches_wave_pair_reference(self, monkeypatch, kind, n, l, seed):
+        import looplax.solver as solver_mod
+
+        frame, g = make_frame(kind, n), random_loop(n, 16, 0.1, seed=seed)
+        args = (g, l, frame, self.FLOWS, self.checks(n))
+        with monkeypatch.context() as mp:
+            # reference: every solve redone as extract_solution(build_wave_pair(...))
+            real_extract = solver_mod.extract_solution
+            mp.setattr(
+                solver_mod,
+                "extract_solution",
+                lambda w: real_extract(build_wave_pair(w.g, w.l, w.flows, w.frame, w.params)),
+            )
+            ref = fd_verify(*args, params=PARAMS).to_obj()
+        assert ref["residuals"]
+        assert fd_verify(*args, params=PARAMS).to_obj() == ref
 
 
 class TestClosedFormFactorization:
@@ -751,15 +831,15 @@ class TestInconclusive:
             return real(loop, M, fact_tol=fact_tol, cond_max=cond_max)
 
         flaky_flows = {"current": base_value}
-        real_build = solver_mod.build_wave_pair
+        real_core = solver_mod._factorize_conjugated
 
-        def tracking_build(g, l, flows, frame, params=None):
+        def tracking_core(gam, dev, lv, flows, frame, params):
             flaky_flows["current"] = FlowRecord(flows).get((1, 1), 0.0)
-            return real_build(g, l, flows, frame, params)
+            return real_core(gam, dev, lv, flows, frame, params)
 
         monkeypatch.setattr(solver_mod, "birkhoff_factorize", flaky)
         g = random_loop(2, 16, 0.1, seed=26)
-        monkeypatch.setattr(solver_mod, "build_wave_pair", tracking_build)
+        monkeypatch.setattr(solver_mod, "_factorize_conjugated", tracking_core)
         rep = solver_mod.fd_verify(
             g, [0, 0], FRAME, {"1,1": base_value}, checks=[("lax", 1, 1)], params=PARAMS
         )
