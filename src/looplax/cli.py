@@ -2,8 +2,8 @@
 verification, and sub-hierarchy reduction with JSON I/O.
 
 Exit codes: 0 success, 2 validation error, 3 factorization outside the big
-cell, 4 resource caps exceeded.  Identical config and seed produce
-byte-identical JSON output.
+cell, 4 resource caps exceeded (a matrix size ``n`` above :data:`N_MAX`).
+Identical config and seed produce byte-identical JSON output.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ from .solver import (
     reduce_subhierarchy,
 )
 
+# Largest matrix size.  Symbolic zc-check at depth 4 takes about 7 s
+# (standard kind) and 23 s (combined kind) at n = 16 on a 2-vCPU machine.
+N_MAX = 16
+
+
 def _emit(obj, fmt: str, render_text):
     if fmt == "json":
         print(json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1))
@@ -57,12 +62,12 @@ def load_frame(desc) -> CommutativeFrame:
     if kind == "custom":
         basis = [
             [[GaussianRational.from_obj(x) for x in row] for row in mat]
-            for mat in desc["basis"]
+            for mat in _list("frame.basis", desc.get("basis"))
         ]
         return make_frame("custom", n or len(basis[0]), basis=basis)
     scalars = desc.get("scalars")
     if scalars is not None:
-        scalars = [GaussianRational.from_obj(s) for s in scalars]
+        scalars = [GaussianRational.from_obj(s) for s in _list("frame.scalars", scalars)]
     return make_frame(kind, n, scalars=scalars)
 
 
@@ -83,29 +88,30 @@ def load_loop(desc, n: int, N: int, seed: int | None) -> AnnulusLoop:
 
 
 def parse_checks(items):
+    """``lax:m,a`` and ``zc:m1,a1:m2,a2`` strings as check tuples; a
+    malformed one raises ValueError naming ``checks[i]``."""
     checks = []
-    for item in items:
-        head, _, rest = item.partition(":")
-        if head == "lax":
-            m, a = rest.split(",")
-            checks.append(("lax", int(m), int(a)))
-        elif head == "zc":
-            first, second = rest.split(":")
-            m1, a1 = first.split(",")
-            m2, a2 = second.split(",")
-            checks.append(("zc", int(m1), int(a1), int(m2), int(a2)))
-        else:
-            raise ValueError(f"unknown check {item!r} (use lax:m,a or zc:m1,a1:m2,a2)")
+    for i, item in enumerate(_list("checks", items)):
+        head, _, rest = item.partition(":") if isinstance(item, str) else ("", "", "")
+        parts = [p.split(",") for p in rest.split(":")]
+        shape = (head, [len(p) for p in parts])
+        try:
+            nums = [int(x) for p in parts for x in p]
+        except ValueError:
+            shape = None
+        if shape not in (("lax", [2]), ("zc", [2, 2])):
+            raise ValueError(f"checks[{i}] = {item!r} must read lax:m,a or zc:m1,a1:m2,a2")
+        checks.append((head, *nums))
     return checks
 
 
 def _frame_setup(cfg, args):
     """The matrix size and the frame of a config, with ``--n``/``--frame``."""
-    n = args.n or _whole("n", cfg.get("n", 2))
+    n = _size("n", cfg.get("n", 2) if args.n is None else args.n)
     frame_cfg = cfg.get("frame") or {}
     if not isinstance(frame_cfg, dict):
         raise ValueError(f"config field frame must be a JSON object, not {frame_cfg!r}")
-    frame_cfg = dict(frame_cfg, n=_whole("frame.n", frame_cfg.get("n", n)))
+    frame_cfg = dict(frame_cfg, n=_size("frame.n", frame_cfg.get("n", n)))
     if args.frame:
         frame_cfg["kind"] = args.frame
     return n, load_frame(frame_cfg)
@@ -128,9 +134,10 @@ def _solver_setup(cfg, args):
         cond_max=_number("tolerances.cond_max", tolerances.get("cond_max", 1e10)),
         tail_tol=_number("tolerances.tail_tol", tolerances.get("tail_tol", 1e-8)),
     )
-    seed = args.seed if args.seed is not None else cfg.get("seed")
+    seed = _seed(cfg, args, None)
     g = load_loop(cfg.get("g"), n, params.N, seed)
-    l = ExponentVector([_whole(f"l[{i}]", x) for i, x in enumerate(cfg.get("l", [0] * n))])
+    l_cfg = _list("l", cfg.get("l", [0] * n))
+    l = ExponentVector([_whole(f"l[{i}]", x) for i, x in enumerate(l_cfg)])
     flows = _flows(cfg.get("flows", {}))
     prov = provenance_hash(
         {
@@ -152,6 +159,32 @@ def _whole(field: str, value) -> int:
     if type(value) is not int and not (isinstance(value, float) and value.is_integer()):
         raise ValueError(f"config field {field} must be a whole number, not {value!r}")
     return int(value)
+
+
+def _size(field: str, value) -> int:
+    """A matrix size: a whole number, at least 2, and at most :data:`N_MAX`
+    (a resource cap)."""
+    n = _whole(field, value)
+    if n < 2:
+        raise ValueError(f"{field} must be at least 2, not {n}")
+    if n > N_MAX:
+        raise errors.ResourceExceeded(f"{field} = {n:.3g} is above the matrix size cap {N_MAX}")
+    return n
+
+
+def _list(field: str, value) -> list:
+    """A config value that must be a JSON array."""
+    if not isinstance(value, list):
+        raise ValueError(f"config field {field} must be a JSON array, not {value!r}")
+    return value
+
+
+def _seed(cfg, args, default):
+    """``--seed``, else the config's whole-number ``seed``, else ``default``."""
+    if args.seed is not None:
+        return args.seed
+    seed = cfg.get("seed", default)
+    return None if seed is None else _whole("seed", seed)
 
 
 def _number(field: str, value) -> float:
@@ -284,18 +317,22 @@ def _verify(cfg, args, checks) -> int:
 def cmd_zc_check(args) -> int:
     cfg = _read_config(args)
     mode = cfg.get("mode", "symbolic")
+    if mode not in ("symbolic", "numeric"):
+        raise ValueError(f"config field mode must be \"symbolic\" or \"numeric\", not {mode!r}")
     pairs = cfg.get("pairs") or [
-        c[1:] for c in parse_checks(args.checks or []) if c[0] == "zc"
+        list(c[1:]) for c in parse_checks(args.checks or []) if c[0] == "zc"
     ]
     if not pairs:
         raise ValueError("zc-check needs flow pairs (config 'pairs' or --checks zc:...)")
-    pairs = [[_whole(f"pairs[{i}]", x) for x in p] for i, p in enumerate(pairs)]
+    pairs = [_pair(i, p) for i, p in enumerate(_list("pairs", pairs))]
     if mode == "numeric":
         return _verify(cfg, args, [("zc", *p) for p in pairs])
     # symbolic mode: seeded exact dressing, Lax-substituted derivatives
     _, frame = _frame_setup(cfg, args)
     depth = _whole("depth", cfg.get("depth", 4))
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if depth < 0:
+        raise ValueError(f"config field depth must be at least 0, not {depth}")
+    seed = _seed(cfg, args, 0)
     kind = HierarchyKind(cfg.get("kind", "standard"))
     d = _random_exact_dressing(kind, frame, depth, seed)
     results = {}
@@ -315,6 +352,13 @@ def cmd_zc_check(args) -> int:
     obj = {"mode": "symbolic", "kind": kind.value, "seed": seed, "zero": results}
     _emit(obj, args.format, lambda o: "\n".join(f"{k}: {'zero' if v else 'NONZERO'}" for k, v in sorted(o["zero"].items())))
     return 0 if all(results.values()) else 1
+
+
+def _pair(i: int, p) -> list:
+    """``pairs[i]``: four whole numbers m1, alpha1, m2, alpha2."""
+    if len(_list(f"pairs[{i}]", p)) != 4:
+        raise ValueError(f"config field pairs[{i}] must hold m1, alpha1, m2, alpha2, not {p!r}")
+    return [_whole(f"pairs[{i}]", x) for x in p]
 
 
 def _cutoff_depth(kind: HierarchyKind, m: int) -> int:
@@ -378,27 +422,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def solver_flags(sp):
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--format", choices=["json", "text"], default="json")
         sp.add_argument("--seed", type=int, default=None, help="seed for random inputs")
         sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--frame", choices=["diagonal", "unipotent", "custom"], default=None)
         sp.add_argument("--depth-N", dest="depth_N", type=int, default=None)
         sp.add_argument("--depth-M", dest="depth_M", type=int, default=None)
         sp.add_argument("--tol-fact", dest="tol_fact", type=float, default=None)
+
+    def check_flags(sp):
         sp.add_argument("--fd-step", dest="fd_step", type=float, default=1e-4)
         sp.add_argument("--checks", nargs="*", default=None)
 
-    for name, fn in (
-        ("derive-akns", cmd_derive_akns),
-        ("zc-check", cmd_zc_check),
-        ("solve", cmd_solve),
-        ("verify", cmd_verify),
-        ("reduce", cmd_solve),
+    # each subcommand registers only the flags it reads
+    for name, fn, flag_groups in (
+        ("derive-akns", cmd_derive_akns, ()),
+        ("zc-check", cmd_zc_check, (solver_flags, check_flags)),
+        ("solve", cmd_solve, (solver_flags,)),
+        ("verify", cmd_verify, (solver_flags, check_flags)),
+        ("reduce", cmd_solve, (solver_flags,)),
     ):
         sp = sub.add_parser(name)
-        common(sp)
+        sp.add_argument("--format", choices=["json", "text"], default="json")
+        for add_flags in flag_groups:
+            add_flags(sp)
         if name == "reduce":
             sp.add_argument("--target", choices=["standard", "strict"], required=True)
         sp.set_defaults(fn=fn)

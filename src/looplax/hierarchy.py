@@ -225,17 +225,10 @@ class Deformation:
     (``tol`` relaxes the comparisons for numeric backends).
     """
 
-    __slots__ = ("kind", "frame", "series", "series_w", "witness", "witness_w")
+    __slots__ = ("kind", "frame", "series", "series_w")
 
     def __init__(
-        self,
-        kind: HierarchyKind,
-        frame: CommutativeFrame,
-        series,
-        series_w=None,
-        witness: LoopSeries | None = None,
-        witness_w: LoopSeries | None = None,
-        tol: float = 0.0,
+        self, kind: HierarchyKind, frame: CommutativeFrame, series, series_w=None, tol: float = 0.0
     ):
         series = tuple(series)
         if len(series) != frame.r:
@@ -259,8 +252,6 @@ class Deformation:
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "series_w", series_w)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "witness_w", witness_w)
 
     @staticmethod
     def _check_z_shape(kind, frame, alpha, s: LoopSeries, tol: float):
@@ -318,15 +309,13 @@ class Deformation:
 
 def _check_witness(witness: LoopSeries, group: str):
     """``g_neg``: Id plus a strictly negative tail; ``g_leq``: invertible
-    constant plus a negative tail (both z-graded); ``g_geq``: invertible
-    constant plus a positive tail (z^{-1}-graded)."""
+    constant plus a negative tail (both z-graded); ``g_geq``: ``g_leq``
+    under z -> 1/z, an invertible constant plus a positive tail
+    (z^{-1}-graded)."""
+    shape = "z-graded with powers <= 0"
     if group == "g_geq":
-        shape = "z^{-1}-graded with powers >= 0"
-        ok = witness.direction == "zinv" and all(k >= 0 for k in witness.support())
-    else:
-        shape = "z-graded with powers <= 0"
-        ok = witness.direction == "z" and all(k <= 0 for k in witness.support())
-    if not ok:
+        witness, shape = witness.reindexed(), "z^{-1}-graded with powers >= 0"
+    if witness.direction != "z" or any(k > 0 for k in witness.coeffs):
         raise ShapeViolation(f"witness must be {shape}")
     if group == "g_neg":
         if not _mat_close(witness.coeff(0), mat_eye(witness.n), 0.0):
@@ -338,12 +327,19 @@ def _check_witness(witness: LoopSeries, group: str):
         raise ShapeViolation(f"witness constant term not invertible: {exc}") from exc
 
 
-def _dressed(frame: CommutativeFrame, witness, power: int, window, direction: str = "z"):
+def _dressed(frame: CommutativeFrame, witness, power: int, window):
     """The generators ``E_a z^power`` on ``window``, conjugated by
     ``witness`` (in its scalar backend) when one is given."""
     mats = [e if witness is None else _frame_matrix_like(e, witness) for e in frame.basis]
-    series = [LoopSeries.monomial(e, power, window, direction) for e in mats]
+    series = [LoopSeries.monomial(e, power, window) for e in mats]
     return series if witness is None else [witness.conjugate(e) for e in series]
+
+
+def _strict_dressed(frame: CommutativeFrame, witness, depth: int):
+    """V = k (E z) k^{-1} for a checked witness k, or E z exact on ``depth``
+    powers when there is none."""
+    window = (1 - depth, 1) if witness is None else (witness.lo + 1, 1)
+    return _dressed(frame, witness, 1, window)
 
 
 def deform(
@@ -360,17 +356,14 @@ def deform(
     Strict: ``witness`` with invertible constant term gives V = g (Ez) g^{-1}.
     Combined: ``witness`` (may be None for the trivial U part) plus
     ``witness_w`` with invertible constant term and positive tail for
-    W = x (E z^{-1}) x^{-1}.  Missing witnesses default to trivial parts,
+    W = x (E z^{-1}) x^{-1}, which under z -> 1/z is the strict dressing by
+    the mirrored witness.  Missing witnesses default to trivial parts,
     exact on ``depth`` powers.
     """
     if kind is HierarchyKind.STRICT:
-        if witness is None:
-            window = (1 - depth, 1)
-        else:
+        if witness is not None:
             _check_witness(witness, "g_leq")
-            window = (witness.lo + 1, 1)
-        series = _dressed(frame, witness, 1, window)
-        return Deformation(kind, frame, series, witness=witness, tol=tol)
+        return Deformation(kind, frame, _strict_dressed(frame, witness, depth), tol=tol)
     if kind not in (HierarchyKind.STANDARD, HierarchyKind.COMBINED):
         raise ValueError(f"unknown kind {kind!r}")
     if witness is None:
@@ -380,16 +373,12 @@ def deform(
         window = witness.window
     series = _dressed(frame, witness, 0, window)
     if kind is HierarchyKind.STANDARD:
-        return Deformation(kind, frame, series, witness=witness, tol=tol)
-    if witness_w is None:
-        hi = depth
-    else:
+        return Deformation(kind, frame, series, tol=tol)
+    if witness_w is not None:
         _check_witness(witness_w, "g_geq")
-        hi = witness_w.hi
-    series_w = _dressed(frame, witness_w, -1, (-1, hi - 1), "zinv")
-    return Deformation(
-        kind, frame, series, series_w, witness=witness, witness_w=witness_w, tol=tol
-    )
+        witness_w = witness_w.reindexed()
+    series_w = [v.reindexed() for v in _strict_dressed(frame, witness_w, depth)]
+    return Deformation(kind, frame, series, series_w, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -645,13 +634,8 @@ def frame_conjugate(d: Deformation, g0) -> Deformation:
 
     series = [conj(s) for s in d.series]
     series_w = [conj(s) for s in d.series_w] if d.series_w is not None else None
-    witness = conj(d.witness) if d.witness is not None else None
-    witness_w = conj(d.witness_w) if d.witness_w is not None else None
     numeric = any(s.numeric for s in d.series)
-    return Deformation(
-        d.kind, new_frame, series, series_w, witness, witness_w,
-        tol=1e-9 if numeric else 0.0,
-    )
+    return Deformation(d.kind, new_frame, series, series_w, tol=1e-9 if numeric else 0.0)
 
 
 def _conjugated(series: LoopSeries, left, right) -> LoopSeries:
@@ -709,6 +693,4 @@ def zero_time_normalize(d: Deformation, t0_values) -> Deformation:
         return _conjugated(series if exact else series.map_coeffs(mat_complex), neg, pos)
 
     series = [conj(x) for x in d.series]
-    witness = conj(d.witness) if d.witness is not None else None
-    tol = 0.0 if exact else 1e-9
-    return Deformation(d.kind, d.frame, series, witness=witness, tol=tol)
+    return Deformation(d.kind, d.frame, series, tol=0.0 if exact else 1e-9)

@@ -16,6 +16,10 @@ Two infinite algebras share this one representation, distinguished by the
 * ``"zinv"`` -- the mirror image: finitely many negative powers, unbounded
   upward.  Below ``lo`` exactly zero, above ``hi`` unknown.
 
+``z -> 1/z`` (:meth:`LoopSeries.reindexed`) maps one algebra onto the other,
+so each window rule is written once, for ``"z"``, and a ``"zinv"`` operation
+runs it on its mirrored operands.
+
 A *total* series is a polynomial loop: exact at every power, zero outside
 its window, and so a member of both algebras.  Projections onto a fully
 known region (every cut-off) are total; products and sums of total series
@@ -100,6 +104,16 @@ class Region(enum.Enum):
             Region.LT0: Region.GEQ0,
             Region.GT0: Region.LEQ0,
             Region.LEQ0: Region.GT0,
+        }[self]
+
+    @property
+    def mirror(self) -> "Region":
+        """The region under ``z -> 1/z``: powers negate."""
+        return {
+            Region.GEQ0: Region.LEQ0,
+            Region.LEQ0: Region.GEQ0,
+            Region.GT0: Region.LT0,
+            Region.LT0: Region.GT0,
         }[self]
 
 
@@ -263,10 +277,8 @@ class LoopSeries:
 
     @classmethod
     def identity(cls, n: int, window=(0, 0), direction: str = "z") -> "LoopSeries":
-        win = Window.make(*window)
-        if not win.lo <= 0 <= win.hi:
-            win = Window.make(min(win.lo, 0), max(win.hi, 0))
-        return cls(n, {0: mat_eye(n)}, win, direction)
+        lo, hi = Window.make(*window)
+        return cls(n, {0: mat_eye(n)}, (min(lo, 0), max(hi, 0)), direction)
 
     @classmethod
     def monomial(cls, mat, power: int, window=None, direction: str = "z") -> "LoopSeries":
@@ -290,11 +302,7 @@ class LoopSeries:
 
     def known(self, k: int) -> bool:
         """Is the coefficient of ``z**k`` determined by this truncation?"""
-        if self.total:
-            return True
-        if self.direction == "z":
-            return k >= self.lo
-        return k <= self.hi
+        return self.total or (k >= self.lo if self.direction == "z" else k <= self.hi)
 
     def _check_known(self, lo: int, hi: int):
         """WindowUnderflow unless ``[lo, hi]`` lies in the exact range."""
@@ -410,20 +418,17 @@ class LoopSeries:
     def __add__(self, other):
         if not isinstance(other, LoopSeries):
             return NotImplemented
-        direction = self._algebra(other)
-        lo, hi = zip(self.window, other.window)
+        if self._algebra(other) == "zinv":
+            return (self.reindexed() + other.reindexed()).reindexed()
         # a total operand is known at every power: only truncated operands
-        # bound the sum toward the unbounded end
-        cut = [s.window for s in (self, other) if not s.total]
-        if direction == "z":
-            win = (max((w.lo for w in cut), default=min(lo)), max(hi))
-        else:
-            win = (min(lo), min((w.hi for w in cut), default=max(hi)))
+        # bound the sum from below
+        lo = max((s.lo for s in (self, other) if not s.total), default=min(self.lo, other.lo))
         out = dict(self.coeffs)
         for k, m in other.coeffs.items():
             out[k] = mat_add(out[k], m) if k in out else m
-        out = {k: m for k, m in out.items() if win[0] <= k <= win[1]}
-        return LoopSeries(self.n, out, win, direction, self.total and other.total)
+        out = {k: m for k, m in out.items() if k >= lo}
+        win = (lo, max(self.hi, other.hi))
+        return LoopSeries(self.n, out, win, "z", self.total and other.total)
 
     def __neg__(self):
         return self._like({k: mat_neg(m) for k, m in self.coeffs.items()})
@@ -446,14 +451,18 @@ class LoopSeries:
         return self._like({k + j: m for k, m in self.coeffs.items()}, (self.lo + j, self.hi + j))
 
     def reindexed(self) -> "LoopSeries":
-        """The substitution ``z -> 1/z``: powers negate, direction flips."""
-        return LoopSeries(
-            self.n,
-            {-k: m for k, m in self.coeffs.items()},
-            (-self.hi, -self.lo),
-            "zinv" if self.direction == "z" else "z",
-            self.total,
-        )
+        """The substitution ``z -> 1/z``: powers negate, direction flips.
+        A relabelling of valid data, so the constructor's checks are skipped."""
+        out = object.__new__(LoopSeries)
+        for name, value in (
+            ("n", self.n),
+            ("window", Window(-self.hi, -self.lo)),
+            ("coeffs", {-k: m for k, m in self.coeffs.items()}),
+            ("direction", "zinv" if self.direction == "z" else "z"),
+            ("total", self.total),
+        ):
+            object.__setattr__(out, name, value)
+        return out
 
     def map_coeffs(self, f: Callable) -> "LoopSeries":
         """Apply ``f`` to every stored coefficient matrix (e.g. a constant
@@ -474,21 +483,24 @@ class LoopSeries:
         caller-requested ``window`` outside this range raises
         :class:`WindowUnderflow`.
         """
-        direction = self._algebra(other)
+        result = self._product(other)
+        return result if window is None else result.restricted(*window)
+
+    def _product(self, other: "LoopSeries") -> "LoopSeries":
+        """:meth:`mul` without a window request.  The mirror recurses here,
+        not through :meth:`mul`, so a ``mul`` call stays one call."""
+        if self._algebra(other) == "zinv":
+            return self.reindexed()._product(other.reindexed()).reindexed()
         if self.total and other.total:
             (lo1, hi1), (lo2, hi2) = self._hull(), other._hull()
             wlo, whi = lo1 + lo2, hi1 + hi2
         elif self.total or other.total:
             poly, series = (self, other) if self.total else (other, self)
-            lo, hi = poly._hull()
-            edge = hi if direction == "z" else lo
+            edge = poly._hull()[1]
             wlo, whi = series.lo + edge, series.hi + edge
-        elif direction == "z":
+        else:
             wlo = max(self.lo + other.hi, other.lo + self.hi)
             whi = self.hi + other.hi
-        else:
-            whi = min(self.hi + other.lo, other.hi + self.lo)
-            wlo = self.lo + other.lo
         out: dict = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
@@ -496,10 +508,7 @@ class LoopSeries:
                 if wlo <= k <= whi:
                     p = mat_mul(a, b)
                     out[k] = mat_add(out[k], p) if k in out else p
-        result = LoopSeries(self.n, out, (wlo, whi), direction, self.total and other.total)
-        if window is not None:
-            result = result.restricted(*window)
-        return result
+        return LoopSeries(self.n, out, (wlo, whi), "z", self.total and other.total)
 
     def __mul__(self, other):
         if isinstance(other, LoopSeries):
@@ -519,37 +528,23 @@ class LoopSeries:
         exact wherever the input was.  The returned window records the
         largest contiguous range expressible under the direction's
         truncation semantics; the output is total when the input is known on
-        the whole region.
+        the whole region.  A projection onto the bounded side keeps the
+        input's unbounded end and reaches the region's edge.
         """
+        if self.direction == "zinv":
+            return self.reindexed().project(region.mirror).reindexed()
         kept = {k: m for k, m in self.coeffs.items() if region.contains(k)}
-        z = self.direction == "z"
-        # a region on the bounded side is fully known: its projection is total
         if region in (Region.GEQ0, Region.GT0):
+            # the bounded side: known down to b, so total once lo <= b
             b = 0 if region is Region.GEQ0 else 1  # region = [b, inf)
-            total = z and self.lo <= b
-            if z:
-                win = (self.lo, max(self.hi, b))
-            elif self.hi < b:
-                win = (b - 1, b - 1)
-            else:
-                win = (max(self.lo, b), self.hi)
+            total, win = self.lo <= b, (self.lo, max(self.hi, b))
         else:
             b = -1 if region is Region.LT0 else 0  # region = (-inf, b]
-            total = not z and self.hi >= b
-            if self.lo > b:
-                win = (b + 1, b + 1) if z else (b, b)
-            else:
-                win = (self.lo, min(self.hi, b))
-        return LoopSeries(self.n, kept, win, self.direction, self.total or total)
+            total = False
+            win = (b + 1, b + 1) if self.lo > b else (self.lo, min(self.hi, b))
+        return LoopSeries(self.n, kept, win, "z", self.total or total)
 
     # -- inversion and conjugation ----------------------------------------------------------
-
-    def _leading(self):
-        """(order, coefficient) at the bounded end of the grading."""
-        if not self.coeffs:
-            raise SingularLeading("cannot invert the zero series")
-        h = max(self.coeffs) if self.direction == "z" else min(self.coeffs)
-        return h, self.coeffs[h]
 
     def invert(self) -> "LoopSeries":
         """Group inverse by back-substitution on the grading.
@@ -559,26 +554,32 @@ class LoopSeries:
         exact to depth ``d`` below its order ``h`` yields an inverse exact to
         depth ``d`` below order ``-h`` (mirrored for "zinv").
         """
-        h, lead = self._leading()
+        if self.direction == "zinv":
+            return self.reindexed()._inverse().reindexed()
+        return self._inverse()
+
+    def _inverse(self) -> "LoopSeries":
+        """:meth:`invert` for a z-graded series."""
+        if not self.coeffs:
+            raise SingularLeading("cannot invert the zero series")
+        h = max(self.coeffs)
         try:
-            lead_inv = mat_inv(lead)
+            lead_inv = mat_inv(self.coeffs[h])
         except ZeroDivisionError as exc:
             raise SingularLeading(str(exc)) from exc
-        # the inverse runs from -h toward the unbounded end, one step per
-        # known power of the input: downward for "z", upward for "zinv"
-        sg = -1 if self.direction == "z" else 1
-        depth = h - self.lo if sg < 0 else self.hi - h
+        # the inverse runs down from -h, one power per known power of the
+        # input below h
+        depth = h - self.lo
         out = {-h: lead_inv}
         for t in range(1, depth + 1):
             acc = mat_zeros(self.n)
             for s in range(1, t + 1):
-                g = self.coeffs.get(h + sg * s)
-                f = out.get(-h + sg * (t - s))
+                g = self.coeffs.get(h - s)
+                f = out.get(-h - (t - s))
                 if g is not None and f is not None:
                     acc = mat_add(acc, mat_mul(g, f))
-            out[-h + sg * t] = mat_neg(mat_mul(lead_inv, acc))
-        win = sorted((-h, -h + sg * depth))
-        return LoopSeries(self.n, out, win, self.direction)
+            out[-h - t] = mat_neg(mat_mul(lead_inv, acc))
+        return LoopSeries(self.n, out, (-h - depth, -h), "z")
 
     def conjugate(self, y: "LoopSeries") -> "LoopSeries":
         """``g y g^{-1}`` for ``g = self``.  Callers supply sl_n-valued ``y``;
@@ -588,15 +589,16 @@ class LoopSeries:
     # -- comparisons --------------------------------------------------------------------------
 
     def equals(self, other: "LoopSeries") -> bool:
-        """Coefficient-wise equality on the window intersection."""
-        if self.n != other.n or self.direction != other.direction:
+        """Coefficient-wise equality at every power that both series know
+        (:meth:`known`).  Series of different algebras (the directions
+        differ and neither is total) are never equal."""
+        if self.n != other.n:
             return False
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
+        if self.direction != other.direction and not (self.total or other.total):
+            return False
         for k in set(self.coeffs) | set(other.coeffs):
-            if lo <= k <= hi:
-                a = self.coeffs.get(k, mat_zeros(self.n))
-                b = other.coeffs.get(k, mat_zeros(self.n))
+            if self.known(k) and other.known(k):
+                a, b = self.coeff(k), other.coeff(k)
                 if any(_nonzero(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)):
                     return False
         return True
@@ -641,25 +643,21 @@ class LoopSeries:
 # Exponential and logarithm on the strictly graded parts
 # ---------------------------------------------------------------------------
 
-def _strict_step(x: LoopSeries, for_log: bool = False) -> int:
-    """Slowest-decaying stored power of a strictly graded series."""
-    if x.direction == "z":
-        bad = [k for k in x.coeffs if k >= 0]
-        step = max(x.coeffs) if x.coeffs else -1
-    else:
-        bad = [k for k in x.coeffs if k <= 0]
-        step = min(x.coeffs) if x.coeffs else 1
+def _graded(rule: Callable, x: LoopSeries) -> LoopSeries:
+    """``rule``, written for the z-graded algebra, applied to ``x``: a
+    z^{-1}-graded series is mirrored, and the result mirrored back.  The
+    rule's second argument maps its powers to the caller's, for errors."""
+    if x.direction == "zinv":
+        return rule(x.reindexed(), -1).reindexed()
+    return rule(x, 1)
+
+
+def _strict_step(x: LoopSeries, err: type, sign: int) -> int:
+    """Slowest-decaying stored power of a strictly negative z series."""
+    bad = sorted(sign * k for k in x.coeffs if k >= 0)
     if bad:
-        err = NotUnipotent if for_log else NotStrictlyNegative
-        raise err(f"stored powers {sorted(bad)} violate the strict grading")
-    return step
-
-
-def _beyond(k: int, step: int, x: LoopSeries) -> bool:
-    """Does the k-th power of the series fall entirely outside the window?"""
-    if x.direction == "z":
-        return k * step < x.lo
-    return k * step > x.hi
+        raise err(f"stored powers {bad} violate the strict grading")
+    return max(x.coeffs, default=-1)
 
 
 def exp_neg(x: LoopSeries) -> LoopSeries:
@@ -670,17 +668,17 @@ def exp_neg(x: LoopSeries) -> LoopSeries:
     terminates.  The output window is extended to include power 0 (the Id
     term).  Raises :class:`NotStrictlyNegative` on malformed input.
     """
-    step = _strict_step(x)
-    if x.direction == "z":
-        win = (x.lo, max(x.hi, 0))
-    else:
-        win = (min(x.lo, 0), x.hi)
-    out = LoopSeries.identity(x.n, win, x.direction)
+    return _graded(_exp_z, x)
+
+
+def _exp_z(x: LoopSeries, sign: int) -> LoopSeries:
+    step = _strict_step(x, NotStrictlyNegative, sign)
+    win = (x.lo, max(x.hi, 0))
+    out = term = LoopSeries.identity(x.n, win)
     if x.is_zero():
         return out
-    term = LoopSeries.identity(x.n, win, x.direction)
     k = 1
-    while not _beyond(k, step, x):
+    while k * step >= x.lo:  # until x^k lies wholly below the window
         term = term.mul(x).smul(Fraction(1, k))
         out = out + term
         k += 1
@@ -691,26 +689,25 @@ def log_unip(g: LoopSeries) -> LoopSeries:
     """Logarithm of ``Id + y`` with ``y`` strictly graded; the inverse of
     :func:`exp_neg` on the window.  Raises :class:`NotUnipotent` when the
     constant term is not the identity."""
+    return _graded(_log_z, g)
+
+
+def _log_z(g: LoopSeries, sign: int) -> LoopSeries:
     n = g.n
-    const = g.coeffs.get(0, mat_zeros(n))
-    if any(_nonzero(const[i][j] - (1 if i == j else 0)) for i in range(n) for j in range(n)):
+    if not mat_is_zero(mat_sub(g.coeffs.get(0, mat_zeros(n)), mat_eye(n))):
         raise NotUnipotent("constant term is not the identity")
-    y = g - LoopSeries.identity(n, g.window, g.direction)
-    step = _strict_step(y, for_log=True)
+    y = g - LoopSeries.identity(n, g.window)
+    step = _strict_step(y, NotUnipotent, sign)
+    out = LoopSeries.zeros(n, g.window)
     if y.is_zero():
-        return LoopSeries.zeros(n, g.window, g.direction)
-    out = LoopSeries.zeros(n, g.window, g.direction)
-    term = LoopSeries.identity(n, g.window, g.direction)
+        return out
+    term = LoopSeries.identity(n, g.window)
     k = 1
-    while not _beyond(k, step, y):
+    while k * step >= y.lo:
         term = term.mul(y)
         out = out + term.smul(Fraction((-1) ** (k + 1), k))
         k += 1
-    if y.direction == "z":
-        win = (g.lo, -1) if g.lo <= -1 else g.window
-    else:
-        win = (1, g.hi) if g.hi >= 1 else g.window
-    return out.restricted(*win)
+    return out.restricted(*((g.lo, -1) if g.lo <= -1 else g.window))
 
 
 def conjugate(g: LoopSeries, y: LoopSeries) -> LoopSeries:

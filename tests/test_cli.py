@@ -301,6 +301,65 @@ class TestMalformedConfig:
         assert code == 2 and out == ""
         assert f"pairs[1] = {pair} needs depth >= {need}" in err and "got depth 2" in err
 
+    def test_checks_read_as_strings(self, capsys, cfg_file):
+        # ended in an AttributeError traceback with exit 1
+        code, out, err = run(capsys, "verify", "--config", cfg_file(dict(SOLVE_CFG, checks=[1])))
+        assert code == 2 and "checks[0] = 1 must read lax:m,a" in err and out == ""
+
+    def test_zc_mode_named(self, capsys, cfg_file):
+        # ran the symbolic mode and exited 0
+        cfg = {"mode": "bogus", "pairs": [[0, 1, 1, 1]]}
+        code, out, err = run(capsys, "zc-check", "--config", cfg_file(cfg))
+        assert code == 2 and "config field mode must be" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "change,needle",
+        [
+            ({"n": 1}, "n must be at least 2, not 1"),
+            ({"n": 0.0}, "n must be at least 2, not 0"),
+            ({"frame": {"kind": "diagonal", "n": 1}}, "frame.n must be at least 2, not 1"),
+        ],
+        ids=["n-1", "n-0", "frame-n-1"],
+    )
+    def test_size_below_two(self, capsys, cfg_file, change, needle):
+        cfg = dict({"pairs": [[0, 1, 1, 1]]}, **change)
+        code, out, err = run(capsys, "zc-check", "--config", cfg_file(cfg))
+        assert code == 2 and needle in err and out == ""
+
+    @pytest.mark.parametrize(
+        "command,change,needle",
+        [
+            ("zc-check", {"n": 1e300}, "n = 1e+300 is above the matrix size cap 16"),
+            ("zc-check", {"n": 17}, "n = 17 is above the matrix size cap 16"),
+            ("solve", {"frame": {"kind": "diagonal", "n": 64}}, "frame.n = 64 is above"),
+        ],
+        ids=["n-1e300", "n-17", "frame-n-64"],
+    )
+    def test_size_above_cap_exit_4(self, capsys, cfg_file, command, change, needle):
+        # "n": 1e300 ended in an OverflowError traceback with exit 1
+        cfg = dict(dict(SOLVE_CFG, pairs=[[0, 1, 1, 1]]), **change)
+        code, out, err = run(capsys, command, "--config", cfg_file(cfg))
+        assert code == 4 and needle in err and out == ""
+
+    @pytest.mark.parametrize(
+        "command,change,needle",
+        [
+            ("solve", {"l": None}, "config field l must be a JSON array, not None"),
+            ("zc-check", {"pairs": 3}, "config field pairs must be a JSON array, not 3"),
+            ("zc-check", {"pairs": [[1, 1]]}, "config field pairs[0] must hold m1, alpha1, m2, alpha2"),
+            ("solve", {"frame": {"kind": "custom"}}, "config field frame.basis must be a JSON array"),
+            ("solve", {"frame": {"scalars": 5}}, "config field frame.scalars must be a JSON array, not 5"),
+            ("solve", {"seed": 1.5}, "config field seed must be a whole number, not 1.5"),
+            ("zc-check", {"depth": -1}, "config field depth must be at least 0, not -1"),
+        ],
+        ids=["l-null", "pairs-int", "pair-short", "custom-no-basis", "scalars-int", "seed-1.5", "depth-neg"],
+    )
+    def test_cause_names_its_field(self, capsys, cfg_file, command, change, needle):
+        # each exited 2 with a bare Python or numpy message that named no field
+        cfg = dict(dict(SOLVE_CFG, pairs=[[0, 1, 1, 1]]), **change)
+        code, out, err = run(capsys, command, "--config", cfg_file(cfg))
+        assert code == 2 and needle in err and out == ""
+
     def test_whole_float_fields_accepted(self, capsys, cfg_file):
         as_int = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, N=16, M=12)))
         as_float = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, N=16.0, M=12.0)))
@@ -311,7 +370,12 @@ class TestZeroValuedFlags:
     # a zero flag must reach validation, not fall back to the config value
     @pytest.mark.parametrize(
         "flag,needle",
-        [("--depth-N", "depths"), ("--depth-M", "depths"), ("--tol-fact", "fact_tol")],
+        [
+            ("--depth-N", "depths"),
+            ("--depth-M", "depths"),
+            ("--tol-fact", "fact_tol"),
+            ("--n", "n must be at least 2, not 0"),
+        ],
     )
     def test_solve_flag_zero_exit_2(self, capsys, cfg_file, flag, needle):
         code, out, err = run(capsys, "solve", "--config", cfg_file(SOLVE_CFG), flag, "0")
@@ -323,6 +387,32 @@ class TestZeroValuedFlags:
             "--fd-step", "0",
         )
         assert code == 2 and "step" in err and out == ""
+
+
+class TestFlags:
+    # each subcommand registers only the flags it reads; these exited 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["derive-akns", "--seed", "3"],
+            ["derive-akns", "--depth-M", "0"],
+            ["derive-akns", "--checks", "bogus"],
+            ["solve", "--checks", "bogus"],
+            ["solve", "--fd-step", "-1"],
+            ["reduce", "--target", "strict", "--fd-step", "1e-4"],
+        ],
+    )
+    def test_unread_flag_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "unrecognized arguments" in err and out == ""
+
+    def test_zc_check_keeps_the_numeric_flags(self, capsys, cfg_file):
+        cfg = dict(SOLVE_CFG, mode="numeric", pairs=[[-1, 1, 1, 1]])
+        code, out, _ = run(
+            capsys, "zc-check", "--config", cfg_file(cfg), "--fd-step", "1e-4",
+            "--depth-N", "16", "--depth-M", "12", "--tol-fact", "1e-10", "--n", "2",
+        )
+        assert code == 0 and json.loads(out)["residuals"]["zc:-1,1:1,1"] <= 1e-6
 
 
 class TestParseChecks:
