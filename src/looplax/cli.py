@@ -111,7 +111,10 @@ def _frame_setup(cfg, args):
     frame_cfg = cfg.get("frame") or {}
     if not isinstance(frame_cfg, dict):
         raise ValueError(f"config field frame must be a JSON object, not {frame_cfg!r}")
-    frame_cfg = dict(frame_cfg, n=_size("frame.n", frame_cfg.get("n", n)))
+    frame_n = _size("frame.n", frame_cfg.get("n", n))
+    if frame_n != n:
+        raise ValueError(f"config field frame.n = {frame_n} differs from n = {n}")
+    frame_cfg = dict(frame_cfg, n=n)
     if args.frame:
         frame_cfg["kind"] = args.frame
     return n, load_frame(frame_cfg)
@@ -333,7 +336,10 @@ def cmd_zc_check(args) -> int:
     if depth < 0:
         raise ValueError(f"config field depth must be at least 0, not {depth}")
     seed = _seed(cfg, args, 0)
-    kind = HierarchyKind(cfg.get("kind", "standard"))
+    kind = cfg.get("kind", "standard")
+    if kind not in ("standard", "strict", "combined"):
+        raise ValueError(f"config field kind must be \"standard\", \"strict\" or \"combined\", not {kind!r}")
+    kind = HierarchyKind(kind)
     d = _random_exact_dressing(kind, frame, depth, seed)
     results = {}
     for i, (m1, a1, m2, a2) in enumerate(pairs):

@@ -53,10 +53,6 @@ class IndexOutOfRange(LoopLaxError):
     """A flow index lies outside the range allowed by the hierarchy kind."""
 
 
-class SideMismatch(LoopLaxError):
-    """An oscillating-matrix operand lives on the wrong side."""
-
-
 class AliasingDetected(LoopLaxError):
     """Fourier truncation left too much mass at the boundary frequencies."""
 

@@ -358,8 +358,10 @@ def deform(
     ``witness_w`` with invertible constant term and positive tail for
     W = x (E z^{-1}) x^{-1}, which under z -> 1/z is the strict dressing by
     the mirrored witness.  Missing witnesses default to trivial parts,
-    exact on ``depth`` powers.
+    exact on ``depth`` powers.  Only the combined kind takes ``witness_w``.
     """
+    if witness_w is not None and kind is not HierarchyKind.COMBINED:
+        raise ShapeViolation(f"witness_w dresses the W family, which the {kind.value} kind lacks")
     if kind is HierarchyKind.STRICT:
         if witness is not None:
             _check_witness(witness, "g_leq")

@@ -1,45 +1,32 @@
-"""Formal oscillating matrices and the linearization of the combined
-hierarchy.
+"""The linearization: the data of the wave matrix ``psi = k delta(l) psi0``.
 
-An oscillating matrix is the formal product of a loop-series factor with the
-flow exponential ``psi0 = exp(sum t_{m,a} E_a z^m)``.  The two factors are
-never multiplied out; keeping them separate is what makes the module actions
-well defined without convergence assumptions.  Elements at infinity carry a
-z-graded factor, elements at zero a z^{-1}-graded one.
+``psi0 = exp(sum t_{m,a} E_a z^m)`` is the flow exponential, recorded by its
+flow parameters (:class:`FlowRecord`).  ``delta(l) = diag(z^{l_1}, ...,
+z^{l_n})`` is the twist (:class:`ExponentVector`), which must commute with
+the frame.  ``k`` is the group part: z-graded at infinity, z^{-1}-graded at
+zero.  Along t_{m,a} the connection is
 
-A *typed* element stores its factor in the factored form ``k(z) delta(l)``
-with ``delta(l) = diag(z^{l_1}, ..., z^{l_n})`` commuting with the frame; on
-typed elements the factor may legitimately be cancelled, which is what
-:func:`extract_connection` exploits.
+    d(psi) psi^{-1} = d(k) k^{-1} + k E_a z^m k^{-1},
+
+since delta(l) commutes with E_a and cancels.  The second term is the
+generator that :func:`~looplax.hierarchy.deform` dresses with k, shifted by
+z^m, so :func:`extract_connection` reads the connection off the dressing
+and the hierarchy's one splitting.  psi solves the linear system
+``d(psi) = C psi`` with C the cut-off exactly when k solves the Lax
+equations.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import Mapping
 
-from .errors import IndexOutOfRange, ShapeViolation, SideMismatch, WindowUnderflow
-from .hierarchy import CommutativeFrame, _check_witness
-from .loops import LoopSeries, Region
+from .errors import IndexOutOfRange
+from .hierarchy import CommutativeFrame, HierarchyKind, _split, deform
+from .loops import LoopSeries
 from .scalars import DerivationSymbol, DiffPoly
 
-__all__ = [
-    "Side",
-    "FlowRecord",
-    "ExponentVector",
-    "OscillatingMatrix",
-    "extract_connection",
-]
-
-
-class Side(enum.Enum):
-    INFINITY = "infinity"  # z-graded factors
-    ZERO = "zero"  # z^{-1}-graded factors
-
-    @property
-    def direction(self) -> str:
-        return "z" if self is Side.INFINITY else "zinv"
+__all__ = ["FlowRecord", "ExponentVector", "extract_connection"]
 
 
 class FlowRecord(Mapping):
@@ -135,12 +122,6 @@ class ExponentVector:
     def __repr__(self):
         return f"ExponentVector{self.l}"
 
-    def shifted(self, k: int) -> "ExponentVector":
-        return ExponentVector(tuple(x + k for x in self.l))
-
-    def is_constant(self) -> bool:
-        return len(set(self.l)) <= 1
-
     def check_commutes(self, frame: CommutativeFrame) -> "ExponentVector":
         """Raise :class:`IndexOutOfRange` unless delta(l) commutes with the
         frame: l_i == l_j wherever some E_alpha has a nonzero (i, j) entry.
@@ -159,147 +140,6 @@ class ExponentVector:
                     )
         return self
 
-    def commutes_with_frame(self, frame: CommutativeFrame) -> bool:
-        """Does delta(l) commute with the frame (see :meth:`check_commutes`)?"""
-        try:
-            self.check_commutes(frame)
-        except IndexOutOfRange:
-            return False
-        return True
-
-
-class OscillatingMatrix:
-    """A formal product ``{factor} psi0`` (or, typed, ``{factor delta(l)} psi0``).
-
-    ``factor`` is the loop-series part g(z) (at infinity) or h(z) (at zero);
-    typed elements store the group part k(z) as ``factor`` and the twist
-    ``delta(l)`` separately as ``exponent``.  Equality is equality of
-    factors, flow records, and exponents.
-    """
-
-    __slots__ = ("side", "factor", "flows", "exponent")
-
-    def __init__(
-        self,
-        side: Side,
-        factor: LoopSeries,
-        flows: FlowRecord | None = None,
-        exponent: ExponentVector | None = None,
-    ):
-        if factor.direction != side.direction:
-            raise SideMismatch(
-                f"factor direction {factor.direction!r} does not match side {side.value}"
-            )
-        if exponent is not None and len(exponent) != factor.n:
-            raise ValueError("exponent vector length differs from matrix size")
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "flows", flows or FlowRecord())
-        object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OscillatingMatrix is immutable")
-
-    @classmethod
-    def bare(cls, side: Side, n: int, flows=None, exponent=None, depth: int = 4) -> "OscillatingMatrix":
-        if side is Side.INFINITY:
-            factor = LoopSeries.identity(n, (-depth, 0))
-        else:
-            factor = LoopSeries.identity(n, (0, depth), direction="zinv")
-        return cls(side, factor, flows, exponent)
-
-    def is_typed(self) -> bool:
-        """Typed means factored, with the group part in the correct group:
-        unipotent lower (at infinity) or invertible constant plus positive
-        tail (at zero)."""
-        if self.exponent is None:
-            return False
-        try:
-            _check_witness(self.factor, "g_neg" if self.side is Side.INFINITY else "g_geq")
-        except (ShapeViolation, WindowUnderflow):
-            return False
-        return True
-
-    # -- module actions -----------------------------------------------------
-
-    def act(self, k: LoopSeries) -> "OscillatingMatrix":
-        """Left action of a loop on the module: multiplies the factor."""
-        if k.direction != self.side.direction:
-            raise SideMismatch(
-                f"operand lives in {k.direction!r}, element needs {self.side.direction!r}"
-            )
-        # the left factor multiplies k(z)first; delta(l) stays outside
-        return OscillatingMatrix(self.side, k.mul(self.factor), self.flows, self.exponent)
-
-    def right_frame(self, frame: CommutativeFrame, alpha: int) -> "OscillatingMatrix":
-        """Right action of E_alpha (at infinity) or E_alpha z^{-1} (at zero).
-
-        delta(l) commutes with the frame, so the action lands on the group
-        part and typed elements keep their exponent."""
-        if self.exponent is not None:
-            self.exponent.check_commutes(frame)
-        ev = _generator_view(frame, alpha, 0 if self.side is Side.INFINITY else -1, self.factor)
-        return OscillatingMatrix(self.side, self.factor.mul(ev), self.flows, self.exponent)
-
-    def derive(
-        self,
-        sym: DerivationSymbol,
-        frame: CommutativeFrame,
-        dfactor: LoopSeries | None = None,
-    ) -> "OscillatingMatrix":
-        """The flow derivative: factor becomes ``d(g) + g E_alpha z^m``.
-
-        ``dfactor`` supplies the entrywise derivative of the factor; if
-        omitted it is computed symbolically (zero for constant backends).
-        The result is generally no longer typed, but the exponent is kept as
-        part of the factored representation.
-        """
-        if not 1 <= sym.alpha <= frame.r:
-            raise IndexOutOfRange(f"frame index {sym.alpha} not in [1..{frame.r}]")
-        if dfactor is None:
-            dfactor = _derive_series(self.factor, sym)
-        moved = self.factor.mul(_generator_view(frame, sym.alpha, sym.m, self.factor))
-        return OscillatingMatrix(self.side, dfactor + moved, self.flows, self.exponent)
-
-    def __add__(self, other):
-        if not isinstance(other, OscillatingMatrix):
-            return NotImplemented
-        if self.side is not other.side or self.flows != other.flows:
-            raise SideMismatch("can only add oscillating matrices with equal side and flows")
-        if self.exponent != other.exponent:
-            raise SideMismatch("can only add oscillating matrices of equal exponent")
-        return OscillatingMatrix(self.side, self.factor + other.factor, self.flows, self.exponent)
-
-    def __eq__(self, other):
-        if not isinstance(other, OscillatingMatrix):
-            return NotImplemented
-        return (
-            self.side is other.side
-            and self.flows == other.flows
-            and self.exponent == other.exponent
-            and self.factor.equals(other.factor)
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        tag = f" delta{tuple(self.exponent)}" if self.exponent is not None else ""
-        return f"<OscillatingMatrix {self.side.value}{tag} factor={self.factor!r}>"
-
-    def to_obj(self):
-        return {
-            "side": self.side.value,
-            "factor": self.factor.to_obj(),
-            "flows": self.flows.to_obj(),
-            "l": list(self.exponent) if self.exponent is not None else None,
-        }
-
-
-def _generator_view(frame: CommutativeFrame, alpha: int, power: int, k: LoopSeries):
-    """``E_alpha z^power`` as a total series in the scalar backend and
-    algebra of ``k``."""
-    return frame.generator_series(alpha, power, k.direction, numeric=k.numeric).as_total()
-
 
 def _derive_series(series: LoopSeries, sym: DerivationSymbol) -> LoopSeries:
     """Entrywise derivative; constants (numeric or rational) derive to zero."""
@@ -314,37 +154,37 @@ def _derive_series(series: LoopSeries, sym: DerivationSymbol) -> LoopSeries:
 
 
 def extract_connection(
-    psi: OscillatingMatrix,
+    kind: HierarchyKind,
+    frame: CommutativeFrame,
+    k: LoopSeries,
     m: int,
     alpha: int,
-    frame: CommutativeFrame,
     dfactor: LoopSeries | None = None,
     tol: float = 0.0,
 ):
-    """Recover the connection matrix ``M = d(k) k^{-1} + k E_alpha z^m k^{-1}``
-    from a typed oscillating matrix, and test side membership.
+    """The connection ``C = d(k) k^{-1} + k E_alpha z^m k^{-1}`` of
+    ``psi = k delta(l) psi0`` along t_{m,alpha}, and whether it is the
+    cut-off.
 
-    Returns ``(M, ok)``: ``ok`` holds iff the projection of M onto the
-    forbidden region (negative powers at infinity with m >= 0, nonnegative
-    powers at zero with m < 0) vanishes -- to ``tol`` for numeric factors.
-    When ok, M equals the corresponding cut-off of the dressed generators.
-    The twist delta(l) commutes with the frame, so it cancels and never
-    enters M.
+    ``k`` is z-graded for the u and v families and z^{-1}-graded for the
+    combined kind's w family (negative flows).  A grading that does not
+    match the family of flow ``m`` raises :class:`IndexOutOfRange`, and a
+    ``k`` outside its kind's group raises :class:`ShapeViolation` through
+    :func:`deform`.
+    ``dfactor`` is the flow derivative of ``k``; by default it is derived
+    symbolically (zero for constant backends).
+
+    Returns ``(C, ok)``: ``ok`` holds iff C vanishes outside the cut-off's
+    region, to ``tol`` for numeric ``k``.  Then C is the cut-off of the
+    deformation dressed by ``k``.
     """
-    if psi.exponent is None:
-        raise SideMismatch("connection extraction needs a typed (factored) element")
-    psi.exponent.check_commutes(frame)
-    if psi.side is Side.INFINITY and m < 0:
-        raise IndexOutOfRange("infinity-side flows need m >= 0")
-    if psi.side is Side.ZERO and m >= 0:
-        raise IndexOutOfRange("zero-side flows need m < 0")
-    sym = DerivationSymbol(m, alpha)
-    k = psi.factor
-    kinv = k.invert()
+    d = deform(kind, frame, *((k, None) if k.direction == "z" else (None, k)), tol=tol)
+    family, shift, region = _split(d, m)
+    if (family == "w") != (k.direction == "zinv"):
+        need = "z^{-1}" if family == "w" else "z"
+        raise IndexOutOfRange(f"m = {m} of the {kind.value} kind needs a {need}-graded factor")
     if dfactor is None:
-        dfactor = _derive_series(k, sym)
-    ev = _generator_view(frame, alpha, m, k)
-    m_series = dfactor.mul(kinv) + k.mul(ev).mul(kinv)
-    leak = m_series.project(Region.LT0 if psi.side is Side.INFINITY else Region.GEQ0)
-    ok = leak.is_zero() if tol == 0.0 else leak.max_abs() <= tol
-    return m_series, ok
+        dfactor = _derive_series(k, DerivationSymbol(m, alpha))
+    conn = dfactor.mul(k.invert()) + d.target(family, alpha).shift(shift)
+    leak = conn.project(region.complement)
+    return conn, leak.is_zero() if tol == 0.0 else leak.max_abs() <= tol

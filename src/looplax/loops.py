@@ -475,8 +475,10 @@ class LoopSeries:
         """Cauchy product, truncated to the largest exactly correct window.
 
         For direction "z" that window is
-        ``[max(lo1+hi2, lo2+hi1), hi1+hi2]`` (mirrored for "zinv"): each
-        factor's unknown tail can pollute the product below that point and
+        ``[max(lo1+top2, lo2+top1), hi1+hi2]`` (mirrored for "zinv"), where
+        ``top`` is a factor's highest stored power (``lo - 1`` when it
+        stores none): each factor's unknown tail meets at most the other's
+        stored powers, so it can pollute the product below that point and
         nowhere above it.  A total factor has no unknown tail, so only the
         other factor's window, shifted by the total one's support, bounds
         the product; two total factors give a total product.  A
@@ -499,7 +501,8 @@ class LoopSeries:
             edge = poly._hull()[1]
             wlo, whi = series.lo + edge, series.hi + edge
         else:
-            wlo = max(self.lo + other.hi, other.lo + self.hi)
+            top1, top2 = (max(s.coeffs, default=s.lo - 1) for s in (self, other))
+            wlo = max(self.lo + top2, other.lo + top1)
             whi = self.hi + other.hi
         out: dict = {}
         for i, a in self.coeffs.items():

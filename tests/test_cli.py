@@ -351,11 +351,18 @@ class TestMalformedConfig:
             ("solve", {"frame": {"scalars": 5}}, "config field frame.scalars must be a JSON array, not 5"),
             ("solve", {"seed": 1.5}, "config field seed must be a whole number, not 1.5"),
             ("zc-check", {"depth": -1}, "config field depth must be at least 0, not -1"),
+            ("zc-check", {"kind": "bogus"}, "config field kind must be \"standard\", \"strict\" or \"combined\", not 'bogus'"),
+            ("zc-check", {"frame": {"kind": "diagonal", "n": 3}}, "config field frame.n = 3 differs from n = 2"),
+            ("solve", {"frame": {"kind": "diagonal", "n": 3}}, "config field frame.n = 3 differs from n = 2"),
         ],
-        ids=["l-null", "pairs-int", "pair-short", "custom-no-basis", "scalars-int", "seed-1.5", "depth-neg"],
+        ids=[
+            "l-null", "pairs-int", "pair-short", "custom-no-basis", "scalars-int", "seed-1.5", "depth-neg",
+            "kind-bogus", "zc-frame-n-conflict", "solve-frame-n-conflict",
+        ],
     )
     def test_cause_names_its_field(self, capsys, cfg_file, command, change, needle):
-        # each exited 2 with a bare Python or numpy message that named no field
+        # each exited 2 with a bare Python or numpy message that named no
+        # field; the frame.n conflict ran an n=3 symbolic zc-check and exited 0
         cfg = dict(dict(SOLVE_CFG, pairs=[[0, 1, 1, 1]]), **change)
         code, out, err = run(capsys, command, "--config", cfg_file(cfg))
         assert code == 2 and needle in err and out == ""

@@ -145,6 +145,14 @@ class TestDeform:
         with pytest.raises(ShapeViolation):
             deform(HierarchyKind.STANDARD, f, not_unip)
 
+    @pytest.mark.parametrize("kind", [HierarchyKind.STANDARD, HierarchyKind.STRICT])
+    def test_witness_w_needs_the_combined_kind(self, kind):
+        # the W witness used to be dropped: series_w=None, no error
+        wit_w = LoopSeries.identity(2, (0, 3), direction="zinv")
+        for wit in (None, LoopSeries.identity(2, (-3, 0))):
+            with pytest.raises(ShapeViolation, match=f"witness_w .* {kind.value} kind lacks"):
+                deform(kind, akns_frame(), wit, wit_w)
+
 
 class TestCutoff:
     def test_trivial_cutoffs(self):

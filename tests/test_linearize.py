@@ -1,21 +1,20 @@
+"""The linearization: the data of psi = k delta(l) psi0 (flow parameters
+and twist) and its connection along a flow, read off the dressing."""
+
 import pytest
 
-from looplax.errors import IndexOutOfRange, SideMismatch
+from looplax.errors import IndexOutOfRange, ShapeViolation
 from looplax.hierarchy import HierarchyKind, akns_frame, cutoff, deform, make_frame
-from looplax.linearize import (
-    ExponentVector,
-    FlowRecord,
-    OscillatingMatrix,
-    Side,
-    extract_connection,
-)
-from looplax.loops import LoopSeries
+from looplax.linearize import ExponentVector, FlowRecord, _derive_series, extract_connection
+from looplax.loops import LoopSeries, Region, exp_neg, mat_complex, mat_inv, mat_mul
 from looplax.scalars import DerivationSymbol, DiffPoly, GaussianRational
 
 from conftest import gr_eye, rand_mat
 
+STANDARD, STRICT, COMBINED = HierarchyKind.STANDARD, HierarchyKind.STRICT, HierarchyKind.COMBINED
 
-def sym_series(n, lo, hi, prefix, window=None, direction="z"):
+
+def sym_series(n, lo, hi, prefix):
     coeffs = {
         k: tuple(
             tuple(DiffPoly.indeterminate(f"{prefix}{k}_{i}{j}") for j in range(n))
@@ -23,7 +22,7 @@ def sym_series(n, lo, hi, prefix, window=None, direction="z"):
         )
         for k in range(lo, hi + 1)
     }
-    return LoopSeries(n, coeffs, window or (lo, hi), direction)
+    return LoopSeries(n, coeffs, (lo, hi))
 
 
 class TestFlowRecord:
@@ -41,109 +40,53 @@ class TestFlowRecord:
 
 class TestExponentVector:
     def test_diagonal_frame_accepts_all(self):
-        f = akns_frame()
-        assert ExponentVector([3, -1]).commutes_with_frame(f)
+        l = ExponentVector([3, -1])
+        assert l.check_commutes(akns_frame()) is l
 
     def test_unipotent_frame_needs_constant(self):
         f = make_frame("unipotent", 3)
-        assert ExponentVector([2, 2, 2]).commutes_with_frame(f)
-        assert not ExponentVector([1, 0, 0]).commutes_with_frame(f)
-
-    def test_module_actions_name_the_offending_entry(self):
-        f = make_frame("unipotent", 3)
-        psi = OscillatingMatrix.bare(Side.INFINITY, 3, exponent=ExponentVector([0, 0, 1]), depth=2)
+        ExponentVector([2, 2, 2]).check_commutes(f)
         needle = r"E_1 has a nonzero \(2, 3\) entry but l_2 = 0 != l_3 = 1"
         with pytest.raises(IndexOutOfRange, match=needle):
-            psi.right_frame(f, 1)
-        with pytest.raises(IndexOutOfRange, match=needle):
-            extract_connection(psi, 1, 1, f)
-
-    def test_shift(self):
-        assert ExponentVector([1, 0]).shifted(2) == ExponentVector([3, 2])
-
-
-class TestModuleActions:
-    def test_identity_acts_trivially(self):
-        psi = OscillatingMatrix.bare(Side.INFINITY, 2, depth=3)
-        k = LoopSeries.identity(2, (-3, 0))
-        assert psi.act(k) == psi
-
-    def test_right_frame_on_bare(self):
-        f = akns_frame()
-        psi = OscillatingMatrix.bare(Side.INFINITY, 2, depth=3)
-        out = psi.right_frame(f, 1)
-        assert out.factor.coeff(0) == f.generator(1)
-        phi = OscillatingMatrix.bare(Side.ZERO, 2, depth=3)
-        outz = phi.right_frame(f, 1)
-        assert outz.factor.coeff(-1) == f.generator(1)
-
-    def test_side_mismatch(self):
-        psi = OscillatingMatrix.bare(Side.INFINITY, 2)
-        k = LoopSeries.identity(2, (0, 3), direction="zinv")
-        with pytest.raises(SideMismatch):
-            psi.act(k)
-
-    def test_associativity(self, rng):
-        psi = OscillatingMatrix(Side.INFINITY, sym_series(2, -2, 0, "g"))
-        k1 = LoopSeries(2, {k: rand_mat(rng, 2) for k in (-1, 0)}, (-2, 0))
-        k2 = LoopSeries(2, {k: rand_mat(rng, 2) for k in (-2, 0)}, (-2, 0))
-        left = psi.act(k2).act(k1)
-        right = psi.act(k1.mul(k2))
-        assert left.factor.equals(right.factor)
+            ExponentVector([0, 0, 1]).check_commutes(f)
 
 
 class TestDerive:
-    def test_bare_derivative_is_flow_monomial(self):
-        # the flow derivative of the bare generator is E_alpha z^m
-        f = akns_frame()
-        psi = OscillatingMatrix.bare(Side.INFINITY, 2, depth=3)
-        out = psi.derive(DerivationSymbol(2, 1), f)
-        assert out.factor.support() == [2]
-        assert out.factor.coeff(2) == f.generator(1)
-
     def test_constant_numeric_factor(self):
+        # a constant factor derives to zero: the connection is k E z^m k^{-1}
         f = akns_frame()
         k = ((1 + 0j, 2 + 0j), (0j, 1 + 0j))
-        psi = OscillatingMatrix(Side.INFINITY, LoopSeries.monomial(k, 0, (-3, 0)))
-        out = psi.derive(DerivationSymbol(1, 1), f)
-        e = tuple(tuple(complex(x) for x in row) for row in f.generator(1))
-        from looplax.loops import mat_mul
+        series = LoopSeries.monomial(k, 0, (-3, 0))
+        assert _derive_series(series, DerivationSymbol(1, 1)).is_zero()
+        conn, ok = extract_connection(STRICT, f, series, 1, 1)
+        e = mat_complex(f.generator(1))
+        assert ok and conn.support() == [1]
+        assert conn.coeff(1) == mat_mul(mat_mul(k, e), mat_inv(k))
 
-        assert out.factor.coeff(1) == mat_mul(k, e)
-
-    def test_product_rule(self, rng):
-        # derive(act(k, psi)) = act(dk, psi) + act(k, derive(psi))
-        f = akns_frame()
+    def test_product_rule(self):
+        # the flow derivative is a derivation: d(kg) = d(k) g + k d(g)
         sym = DerivationSymbol(1, 1)
-        psi = OscillatingMatrix(Side.INFINITY, sym_series(2, -2, 0, "g"))
-        k = sym_series(2, -2, 0, "k")
-        from looplax.linearize import _derive_series
-
-        lhs = psi.act(k).derive(sym, f)
-        rhs = OscillatingMatrix(
-            Side.INFINITY, _derive_series(k, sym).mul(psi.factor), psi.flows
-        ) + psi.derive(sym, f).act(k)
-        assert lhs.factor.equals(rhs.factor)
+        g, k = sym_series(2, -2, 0, "g"), sym_series(2, -2, 0, "k")
+        lhs = _derive_series(k.mul(g), sym)
+        rhs = _derive_series(k, sym).mul(g) + k.mul(_derive_series(g, sym))
+        assert not lhs.is_zero() and lhs.equals(rhs)
 
 
 class TestExtractConnection:
+    # k is the group part of a typed psi = k delta(l) psi0: a member of its
+    # kind's group, graded as the flow's family
     def test_trivial_typed_element(self):
+        # k = Id: the connection is the flow monomial E z^m, a cut-off
         f = akns_frame()
-        psi = OscillatingMatrix.bare(
-            Side.INFINITY, 2, exponent=ExponentVector([0, 0]), depth=4
-        )
-        m, ok = extract_connection(psi, 2, 1, f)
-        assert ok
-        assert m.support() == [2] and m.coeff(2) == f.generator(1)
+        for kind, m in ((STANDARD, 2), (STRICT, 2), (COMBINED, 0)):
+            conn, ok = extract_connection(kind, f, LoopSeries.identity(2, (-4, 0)), m, 1)
+            assert ok and conn.support() == [m] and conn.coeff(m) == f.generator(1)
 
     def test_zero_side_trivial(self):
         f = akns_frame()
-        phi = OscillatingMatrix.bare(
-            Side.ZERO, 2, exponent=ExponentVector([0, 0]), depth=4
-        )
-        m, ok = extract_connection(phi, -1, 1, f)
-        assert ok
-        assert m.support() == [-1] and m.coeff(-1) == f.generator(1)
+        k = LoopSeries.identity(2, (0, 4), direction="zinv")
+        conn, ok = extract_connection(COMBINED, f, k, -1, 1)
+        assert ok and conn.support() == [-1] and conn.coeff(-1) == f.generator(1)
 
     def test_constructed_counterexample(self):
         # factor Id + N z^-1 with free symbolic N: d(N) leaks below zero
@@ -152,67 +95,55 @@ class TestExtractConnection:
             tuple(DiffPoly.indeterminate(f"n{i}{j}") for j in range(2)) for i in range(2)
         )
         k = LoopSeries(2, {0: gr_eye(2), -1: n_mat}, (-4, 0))
-        psi = OscillatingMatrix(Side.INFINITY, k, exponent=ExponentVector([0, 0]))
-        m, ok = extract_connection(psi, 1, 1, f)
+        _, ok = extract_connection(STANDARD, f, k, 1, 1)
         assert not ok
 
     def test_constant_nontrivial_factor_is_rejected(self, rng):
-        # a flow-independent dressed factor cannot satisfy the linearization
-        # for m >= 1: without the d(k)k^{-1} term the negative tail survives
-        from looplax.loops import exp_neg
-
+        # a flow-independent dressed factor cannot satisfy the linearization:
+        # without the d(k)k^{-1} term the tail outside the cut-off survives
         f = akns_frame()
         x = LoopSeries(2, {k: rand_mat(rng, 2) for k in (-2, -1)}, (-4, -1))
         wit = exp_neg(x)
-        psi = OscillatingMatrix(Side.INFINITY, wit, exponent=ExponentVector([0, 0]))
-        m, ok = extract_connection(psi, 1, 1, f)
-        assert not ok
-        # the nonnegative part still agrees with the cut-off of the dressing
-        d = deform(HierarchyKind.STANDARD, f, wit)
-        from looplax.loops import Region
+        for kind, region in ((STANDARD, Region.GEQ0), (STRICT, Region.GT0)):
+            for m in (1, 2):
+                conn, ok = extract_connection(kind, f, wit, m, 1)
+                assert not ok
+                # on the cut-off's region it still is the cut-off
+                assert conn.project(region).equals(cutoff(deform(kind, f, wit), m, 1))
 
-        assert m.project(Region.GEQ0).equals(cutoff(d, 1, 1))
-
-    def test_untyped_rejected(self):
+    def test_typedness_classification(self):
+        # an invertible constant term is in the strict kind's group, not in
+        # the plain kind's unipotent one
         f = akns_frame()
-        psi = OscillatingMatrix.bare(Side.INFINITY, 2)
-        with pytest.raises(SideMismatch):
-            extract_connection(psi, 1, 1, f)
-
-    def test_typedness_classification(self, rng):
-        f = akns_frame()
-        good = OscillatingMatrix.bare(
-            Side.INFINITY, 2, exponent=ExponentVector([1, 1]), depth=2
-        )
-        assert good.is_typed()
-        bad_factor = LoopSeries(2, {0: rand_mat(rng, 2)}, (-2, 0))
-        untyped = OscillatingMatrix(
-            Side.INFINITY, bad_factor, exponent=ExponentVector([0, 0])
-        )
-        assert not untyped.is_typed()
+        g = GaussianRational
+        k = LoopSeries(2, {0: ((g(2), g(1)), (g(1), g(1))), -1: gr_eye(2)}, (-2, 0))
+        extract_connection(STRICT, f, k, 1, 1)
+        with pytest.raises(ShapeViolation, match="constant term must be the identity"):
+            extract_connection(STANDARD, f, k, 1, 1)
 
     def test_zero_side_needs_invertible_constant(self, rng):
         # the same group test as deform's z^{-1}-graded witness
+        f = akns_frame()
         g = GaussianRational
         singular = ((g(1), g(2)), (g(2), g(4)))
         for const, typed in ((gr_eye(2), True), (singular, False)):
             factor = LoopSeries(2, {0: const, 1: rand_mat(rng, 2)}, (0, 2), "zinv")
-            phi = OscillatingMatrix(Side.ZERO, factor, exponent=ExponentVector([0, 0]))
-            assert phi.is_typed() is typed
+            if typed:
+                extract_connection(COMBINED, f, factor, -1, 1)
+            else:
+                with pytest.raises(ShapeViolation, match="not invertible"):
+                    extract_connection(COMBINED, f, factor, -1, 1)
 
-
-class TestScratchLegitimacy:
-    def test_invertible_action_undoes(self, rng):
-        # acting by an invertible loop is reversible on the module
-        psi = OscillatingMatrix(Side.INFINITY, sym_series(2, -2, 0, "g"))
-        coeffs = {0: gr_eye(2), -1: rand_mat(rng, 2), -2: rand_mat(rng, 2)}
-        k = LoopSeries(2, coeffs, (-2, 0))
-        out = psi.act(k).act(k.invert())
-        assert out.factor.equals(psi.factor)
-
-    def test_equal_factors_mean_equal_elements(self):
-        a = OscillatingMatrix.bare(Side.INFINITY, 2, exponent=ExponentVector([1, 1]))
-        b = OscillatingMatrix.bare(Side.INFINITY, 2, exponent=ExponentVector([1, 1]))
-        assert a == b
-        c = OscillatingMatrix.bare(Side.INFINITY, 2, exponent=ExponentVector([2, 2]))
-        assert a != c
+    def test_grading_must_match_the_flow(self):
+        f = akns_frame()
+        at_infinity = LoopSeries.identity(2, (-2, 0))
+        at_zero = LoopSeries.identity(2, (0, 2), direction="zinv")
+        with pytest.raises(IndexOutOfRange, match=r"needs a z\^\{-1\}-graded factor"):
+            extract_connection(COMBINED, f, at_infinity, -1, 1)
+        with pytest.raises(IndexOutOfRange, match="needs a z-graded factor"):
+            extract_connection(COMBINED, f, at_zero, 1, 1)
+        with pytest.raises(IndexOutOfRange, match="plain hierarchy flows need m >= 0"):
+            extract_connection(STANDARD, f, at_infinity, -1, 1)
+        for kind in (STANDARD, STRICT):
+            with pytest.raises(ShapeViolation, match="witness_w"):
+                extract_connection(kind, f, at_zero, 1, 1)

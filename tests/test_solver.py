@@ -12,13 +12,7 @@ from looplax.errors import (
     WindowUnderflow,
 )
 from looplax.hierarchy import HierarchyKind, akns_frame, cutoff, make_frame
-from looplax.linearize import (
-    ExponentVector,
-    FlowRecord,
-    OscillatingMatrix,
-    Side,
-    extract_connection,
-)
+from looplax.linearize import ExponentVector, FlowRecord, extract_connection
 from looplax.loops import LoopSeries
 from looplax.solver import (
     AnnulusLoop,
@@ -518,10 +512,9 @@ class TestExtractSolution:
         um, _ = u_series_at(-h)
         u0, w0 = u_series_at(0.0)
         dk = (up - um).smul(1.0 / (2 * h))
-        psi = OscillatingMatrix(
-            Side.INFINITY, u0, flows, exponent=ExponentVector([0, 0])
+        m_conn, ok = extract_connection(
+            HierarchyKind.COMBINED, FRAME, u0, 1, 1, dfactor=dk, tol=1e-6
         )
-        m_conn, ok = extract_connection(psi, 1, 1, FRAME, dfactor=dk, tol=1e-6)
         assert ok
         d = extract_solution(w0).as_deformation()
         b = cutoff(d, 1, 1)
@@ -547,8 +540,9 @@ class TestExtractSolution:
         pm, _ = p_series_at(-h)
         p0, w0 = p_series_at(0.0)
         dk = (pp - pm).smul(1.0 / (2 * h))
-        phi = OscillatingMatrix(Side.ZERO, p0, flows, exponent=ExponentVector([0, 0]))
-        m_conn, ok = extract_connection(phi, -1, 1, FRAME, dfactor=dk, tol=1e-6)
+        m_conn, ok = extract_connection(
+            HierarchyKind.COMBINED, FRAME, p0, -1, 1, dfactor=dk, tol=1e-6
+        )
         assert ok
         d = extract_solution(w0).as_deformation()
         c = cutoff(d, -1, 1)

@@ -26,7 +26,7 @@ from looplax.hierarchy import (  # noqa: E402
     make_frame,
     zc_residual,
 )
-from looplax.loops import LoopSeries, Region  # noqa: E402
+from looplax.loops import LoopSeries, Region, exp_neg  # noqa: E402
 
 from conftest import gr_eye, rand_mat  # noqa: E402
 
@@ -91,6 +91,37 @@ class TestSeriesOperations:
         except SingularLeading:
             return
         assert_honest(*inv, "invert")
+
+    @PROFILE
+    @given(
+        seed=SEEDS,
+        direction=st.sampled_from(["z", "zinv"]),
+        edges=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+        gaps=st.tuples(st.integers(1, 3), st.integers(0, 3)),
+    )
+    def test_window_above_the_stored_support(self, seed, direction, edges, gaps):
+        # a window reaching past the stored support toward the bounded end
+        # declares zeros there; a product claims depth from the stored top
+        rng = random.Random(seed)
+        a, b = (
+            tuple(widened(s, gap) for s in series_pair(rng, 2, direction, e))
+            for e, gap in zip(edges, gaps)
+        )
+        shallow, deep = a[0].mul(b[0]), a[1].mul(b[1])
+        assert_honest(shallow, deep, "mul")
+        z = [s if direction == "z" else s.reindexed() for s in (a[0], b[0], shallow)]
+        tops = [max(s.coeffs, default=s.lo - 1) for s in z[:2]]
+        assert z[2].lo == max(z[0].lo + tops[1], z[1].lo + tops[0])
+        # exp of a strictly negative series whose window reaches above 0
+        strict = Region.LT0 if direction == "z" else Region.GT0
+        x = [widened(s.project(strict), gaps[0]) for s in a]
+        assert_honest(exp_neg(x[0]), exp_neg(x[1]), "exp_neg")
+
+
+def widened(s: LoopSeries, gap: int) -> LoopSeries:
+    """``s`` with its window moved ``gap`` powers out at the bounded end."""
+    lo, hi = (s.lo, s.hi + gap) if s.direction == "z" else (s.lo - gap, s.hi)
+    return LoopSeries(s.n, s.coeffs, (lo, hi), s.direction)
 
 
 PAIRS = {
