@@ -8,6 +8,7 @@ from looplax.hierarchy import HierarchyKind, akns_frame, cutoff, deform, make_fr
 from looplax.linearize import ExponentVector, FlowRecord, _derive_series, extract_connection
 from looplax.loops import LoopSeries, Region, exp_neg, mat_complex, mat_inv, mat_mul
 from looplax.scalars import DerivationSymbol, DiffPoly, GaussianRational
+from looplax.solver import AnnulusLoop, build_wave_pair
 
 from conftest import gr_eye, rand_mat
 
@@ -46,12 +47,30 @@ class TestExponentVector:
     def test_unipotent_frame_needs_constant(self):
         f = make_frame("unipotent", 3)
         ExponentVector([2, 2, 2]).check_commutes(f)
+        with pytest.raises(IndexOutOfRange):
+            ExponentVector([1, 0, 0]).check_commutes(f)
+
+    def test_module_actions_name_the_offending_entry(self):
+        # delta(l) acts on the loop in the wave pair; a twist that does not
+        # commute with the frame is refused there, naming the entry
+        f = make_frame("unipotent", 3)
         needle = r"E_1 has a nonzero \(2, 3\) entry but l_2 = 0 != l_3 = 1"
         with pytest.raises(IndexOutOfRange, match=needle):
             ExponentVector([0, 0, 1]).check_commutes(f)
+        with pytest.raises(IndexOutOfRange, match=needle):
+            build_wave_pair(AnnulusLoop.identity(3, 2), [0, 0, 1], {"1,1": 0.1}, f)
 
 
 class TestDerive:
+    def test_bare_derivative_is_flow_monomial(self):
+        # k = Id derives to zero, so the flow derivative of the bare
+        # generator delta(l) psi0 is E_alpha z^m
+        f = akns_frame()
+        k = LoopSeries.identity(2, (-3, 0))
+        assert _derive_series(k, DerivationSymbol(2, 1)).is_zero()
+        conn, ok = extract_connection(STANDARD, f, k, 2, 1)
+        assert ok and conn.support() == [2] and conn.coeff(2) == f.generator(1)
+
     def test_constant_numeric_factor(self):
         # a constant factor derives to zero: the connection is k E z^m k^{-1}
         f = akns_frame()
