@@ -13,10 +13,6 @@ class ResourceExceeded(LoopLaxError):
     """An operation would exceed the configured term/size cap."""
 
 
-class UnboundDerivative(LoopLaxError):
-    """A derivative indeterminate has no binding and no base binding."""
-
-
 class WindowUnderflow(LoopLaxError):
     """A power was requested that the input windows cannot determine."""
 

@@ -128,14 +128,6 @@ class CommutativeFrame:
             raise IndexOutOfRange(f"frame index {alpha} not in [1..{self.r}]")
         return self.basis[alpha - 1]
 
-    def generator_series(
-        self, alpha: int, power: int = 0, direction: str = "z", numeric: bool = False
-    ) -> LoopSeries:
-        mat = self.generator(alpha)
-        if numeric:
-            mat = mat_complex(mat)
-        return LoopSeries.monomial(mat, power, direction=direction)
-
     def complex_basis(self):
         return [mat_complex(m) for m in self.basis]
 

@@ -80,20 +80,10 @@ class FlowRecord(Mapping):
     def to_obj(self):
         return {f"{m},{a}": _num_obj(v) for (m, a), v in self._data.items()}
 
-    @classmethod
-    def from_obj(cls, obj) -> "FlowRecord":
-        return cls({k: _num_in(v) for k, v in obj.items()})
-
 
 def _num_obj(v):
     if isinstance(v, complex):
         return [v.real, v.imag]
-    return float(v)
-
-
-def _num_in(v):
-    if isinstance(v, list):
-        return complex(v[0], v[1])
     return float(v)
 
 

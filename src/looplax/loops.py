@@ -344,12 +344,6 @@ class LoopSeries:
     def is_traceless(self) -> bool:
         return all(not _nonzero(mat_trace(m)) for m in self.coeffs.values())
 
-    def max_trace_abs(self) -> float:
-        out = 0.0
-        for m in self.coeffs.values():
-            out = max(out, abs(mat_trace(m)))
-        return out
-
     # -- window management ----------------------------------------------------------
 
     def restricted(self, lo: int, hi: int) -> "LoopSeries":
@@ -632,14 +626,6 @@ class LoopSeries:
                 for k, m in sorted(self.coeffs.items())
             },
         }
-
-    @classmethod
-    def from_obj(cls, obj, decode: Callable) -> "LoopSeries":
-        coeffs = {
-            int(k): tuple(tuple(decode(x) for x in row) for row in m)
-            for k, m in obj["coeffs"].items()
-        }
-        return cls(obj["n"], coeffs, tuple(obj["window"]), obj.get("direction", "z"))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, NamedTuple
 
-from .errors import ResourceExceeded, UnboundDerivative
+from .errors import ResourceExceeded
 
 __all__ = [
     "GaussianRational",
@@ -30,9 +30,6 @@ __all__ = [
     "Indeterminate",
     "DiffPoly",
     "encode_scalar",
-    "decode_scalar",
-    "set_term_cap",
-    "get_term_cap",
 ]
 
 
@@ -283,9 +280,6 @@ class Indeterminate(NamedTuple):
         d[sym] = d.get(sym, 0) + 1
         return Indeterminate(self.name, tuple(sorted(d.items())))
 
-    def order(self) -> int:
-        return sum(c for _, c in self.derivs)
-
     def __str__(self):
         if not self.derivs:
             return self.name
@@ -311,17 +305,8 @@ Monomial = tuple
 
 _ONE_MONO: Monomial = ()
 
+# The expanded-term cap for DiffPoly products (ResourceExceeded above it).
 _TERM_CAP = 10**6
-
-
-def set_term_cap(cap: int) -> None:
-    """Set the global expanded-term cap for DiffPoly products."""
-    global _TERM_CAP
-    _TERM_CAP = int(cap)
-
-
-def get_term_cap() -> int:
-    return _TERM_CAP
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -412,13 +397,6 @@ class DiffPoly:
             raise ValueError("not a constant polynomial")
         return self._terms.get(_ONE_MONO, GaussianRational(0))
 
-    def indeterminates(self) -> set:
-        out = set()
-        for mono in self._terms:
-            for ind, _ in mono:
-                out.add(ind)
-        return out
-
     # -- coercion ----------------------------------------------------------------
 
     @staticmethod
@@ -507,46 +485,6 @@ class DiffPoly:
             for mono, coef in self._terms.items()
             for idx, (ind, power) in enumerate(mono)
         )
-
-    def substitute(self, bindings: Mapping[Indeterminate, "DiffPoly"]) -> "DiffPoly":
-        """Simultaneous substitution followed by canonicalization.
-
-        A derivative indeterminate with no direct binding is resolved by
-        differentiating the binding of its bare name.  If the bare name is
-        bound only in some other derived form, :class:`UnboundDerivative`
-        is raised; names untouched by the bindings map to themselves.
-        """
-        bindings = {k: DiffPoly._coerce(v) for k, v in bindings.items()}
-        bound_names = {ind.name for ind in bindings}
-        cache: dict = {}
-
-        def resolve(ind: Indeterminate) -> DiffPoly:
-            if ind in cache:
-                return cache[ind]
-            if ind in bindings:
-                val = bindings[ind]
-            elif ind.name not in bound_names:
-                val = DiffPoly({((ind, 1),): GaussianRational(1)})
-            else:
-                base = Indeterminate(ind.name)
-                if base not in bindings:
-                    raise UnboundDerivative(
-                        f"no binding for {ind} and no base binding for {ind.name}"
-                    )
-                val = bindings[base]
-                for sym, count in ind.derivs:
-                    for _ in range(count):
-                        val = val.derive(sym)
-            cache[ind] = val
-            return val
-
-        out = DiffPoly.zero()
-        for mono, coef in self._terms.items():
-            term = DiffPoly.constant(coef)
-            for ind, power in mono:
-                term = term * resolve(ind) ** power
-            out = out + term
-        return out
 
     # -- comparisons ---------------------------------------------------------------
 
@@ -650,14 +588,3 @@ def encode_scalar(x):
         return GaussianRational(x).to_obj()
     raise TypeError(f"cannot encode scalar {x!r}")
 
-
-def decode_scalar(obj, backend: str):
-    """Inverse of :func:`encode_scalar` for a named backend
-    ("rational" | "complex" | "diffpoly")."""
-    if backend == "rational":
-        return GaussianRational.from_obj(obj)
-    if backend == "complex":
-        return complex(obj[0], obj[1])
-    if backend == "diffpoly":
-        return DiffPoly.from_obj(obj)
-    raise ValueError(f"unknown backend {backend!r}")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from looplax.cli import _cutoff_depth, _random_exact_dressing, main, parse_checks
+from looplax.cli import _cutoff_depth, _random_exact_dressing, main, read_config
 from looplax.errors import IndexOutOfRange
 from looplax.hierarchy import HierarchyKind, cutoff, make_frame
 
@@ -200,7 +200,7 @@ class TestMalformedConfig:
     def test_short_g_entry(self, capsys, cfg_file):
         g = {"0": [[[1], [0, 0]], [[0, 0], [1, 0]]]}
         code, out, err = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, g=g)))
-        assert code == 2 and "g entry '0'" in err and out == ""
+        assert code == 2 and "config field g['0'][0][0] must be a [re, im] pair" in err and out == ""
 
     def test_wrong_length_l(self, capsys, cfg_file):
         code, out, err = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, l=[5])))
@@ -367,6 +367,81 @@ class TestMalformedConfig:
         code, out, err = run(capsys, command, "--config", cfg_file(cfg))
         assert code == 2 and needle in err and out == ""
 
+    @pytest.mark.parametrize(
+        "g,needle",
+        [
+            (
+                {"0": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "1": [[[0.1, 0]]]},
+                "config field g['1'] must be a 2x2 array, not [[[0.1, 0]]]",
+            ),
+            ({"0": [[[1, 0]]]}, "config field g['0'] must be a 2x2 array"),
+            ({"0": [[[1, 0], [0, 0]], [[0, 0], [1, "a"]]]}, "config field g['0'][1][1][1] must be a number"),
+            ({"100000": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, "g key '100000' is beyond the frequencies |k| < 64"),
+        ],
+        ids=["broadcast", "single-entry", "entry-string", "key-beyond-grid"],
+    )
+    def test_g_table_entry_shape(self, capsys, cfg_file, g, needle):
+        # the 1x1 entry was broadcast to a 2x2 matrix of 0.1s and solved with
+        # exit 0; alone it exited 3 (outside the big cell)
+        code, out, err = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, g=g)))
+        assert code == 2 and needle in err and out == ""
+
+    @pytest.mark.parametrize(
+        "command,change,needle",
+        [
+            ("solve", {"frame": {"kind": "custom", "basis": [5]}}, "config field frame.basis[0] must be a 2x2 array, not 5"),
+            ("solve", {"l": [0, 1e300]}, "twists by more than a grid of 128 points resolves"),
+            ("solve", {"l": [-64, 64]}, "entries must lie within +-127 and spread over less than 64"),
+            ("solve", {"flows": {"1,1": 10**400}}, "config field flows['1,1'] must be a number, not 1000"),
+            ("solve", {"frame": {"kind": "diagonal", "scalars": [[10**400, 0]]}}, "config field frame has an entry beyond float range"),
+        ],
+        ids=["basis-int", "l-1e300", "l-spread", "flow-10^400", "scalar-10^400"],
+    )
+    def test_no_traceback_field_named(self, capsys, cfg_file, command, change, needle):
+        # a TypeError, an OverflowError, or a twist the grid aliases: l = [-64, 64]
+        # moves entries by 128 frequencies, z^128 = 1 on a grid of 128 points,
+        # and the l = [0, 0] solution came out with exit 0
+        code, out, err = run(capsys, command, "--config", cfg_file(dict(SOLVE_CFG, **change)))
+        assert code == 2 and needle in err and out == ""
+
+    @pytest.mark.parametrize(
+        "command,change,needle",
+        [
+            ("solve", {"M": 100000}, "n*M = 2e+05 is above the block-Toeplitz dimension cap 512"),
+            ("verify", {"n": 16, "frame": {}, "l": [0] * 16, "M": 33}, "n*M = 528 is above the block-Toeplitz dimension cap 512"),
+            ("solve", {"grid": 2**20}, "grid*n^2 = 4.19e+06 is above the grid size cap 32768"),
+            ("reduce", {"n": 16, "frame": {}, "l": [0] * 16, "grid": 256}, "grid*n^2 = 6.55e+04 is above"),
+            ("zc-check", {"depth": 1e300}, "n*depth = 2e+300 is above the symbolic dressing cap 64"),
+            ("zc-check", {"n": 16, "frame": {}, "depth": 5}, "n*depth = 80 is above"),
+            ("zc-check", {"depth": 33}, "n*depth = 66 is above"),
+        ],
+        ids=["M-1e5", "n-16-M-33", "grid-2^20", "n-16-grid-256", "depth-1e300", "n-16-depth-5", "depth-33"],
+    )
+    def test_resource_cap_exit_4_before_any_work(self, capsys, cfg_file, monkeypatch, command, change, needle):
+        # "depth": 1e300 ran without bound and "M": 100000 reached a
+        # MemoryError traceback; a missing cap must fail here, not allocate
+        def never(*args, **kwargs):
+            raise AssertionError("a cap must stop the command before this call")
+
+        for name in ("random_loop", "build_wave_pair", "fd_verify", "_random_exact_dressing"):
+            monkeypatch.setattr(f"looplax.cli.{name}", never)
+        cfg = dict(SOLVE_CFG, pairs=[[0, 1, 1, 1]], checks=["lax:1,1"], **change)
+        argv = ["--target", "strict"] if command == "reduce" else []
+        code, out, err = run(capsys, command, "--config", cfg_file(cfg), *argv)
+        assert code == 4 and needle in err and out == ""
+
+    def test_caps_allow_the_benchmark_sizes(self, capsys, cfg_file):
+        cfg = dict(SOLVE_CFG, n=3, frame={}, l=[0, 0, 0], N=64, M=64, grid=512, flows={})
+        code, out, _ = run(capsys, "solve", "--config", cfg_file(cfg))
+        assert code == 0 and json.loads(out)["provenance"]["params"]["M"] == 64
+
+    def test_symbolic_null_seed_is_the_default(self, capsys, cfg_file):
+        # "seed": null drew an unseeded, run-dependent dressing
+        cfg = {"mode": "symbolic", "pairs": [[0, 1, 1, 1]]}
+        _, default, _ = run(capsys, "zc-check", "--config", cfg_file(cfg))
+        code, out, _ = run(capsys, "zc-check", "--config", cfg_file(dict(cfg, seed=None)))
+        assert code == 0 and out == default and json.loads(out)["seed"] == 0
+
     def test_whole_float_fields_accepted(self, capsys, cfg_file):
         as_int = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, N=16, M=12)))
         as_float = run(capsys, "solve", "--config", cfg_file(dict(SOLVE_CFG, N=16.0, M=12.0)))
@@ -375,19 +450,6 @@ class TestMalformedConfig:
 
 class TestZeroValuedFlags:
     # a zero flag must reach validation, not fall back to the config value
-    @pytest.mark.parametrize(
-        "flag,needle",
-        [
-            ("--depth-N", "depths"),
-            ("--depth-M", "depths"),
-            ("--tol-fact", "fact_tol"),
-            ("--n", "n must be at least 2, not 0"),
-        ],
-    )
-    def test_solve_flag_zero_exit_2(self, capsys, cfg_file, flag, needle):
-        code, out, err = run(capsys, "solve", "--config", cfg_file(SOLVE_CFG), flag, "0")
-        assert code == 2 and needle in err and out == ""
-
     def test_fd_step_zero_exit_2(self, capsys, cfg_file):
         code, out, err = run(
             capsys, "verify", "--config", cfg_file(SOLVE_CFG), "--checks", "lax:1,1",
@@ -397,7 +459,9 @@ class TestZeroValuedFlags:
 
 
 class TestFlags:
-    # each subcommand registers only the flags it reads; these exited 0
+    # each subcommand registers only the flags it reads; the first six exited
+    # 0. The config fields n, frame, N, M and tolerances.fact_tol have no
+    # flag: the config sets them
     @pytest.mark.parametrize(
         "argv",
         [
@@ -407,6 +471,13 @@ class TestFlags:
             ["solve", "--checks", "bogus"],
             ["solve", "--fd-step", "-1"],
             ["reduce", "--target", "strict", "--fd-step", "1e-4"],
+            ["solve", "--depth-N", "0"],
+            ["solve", "--depth-M", "0"],
+            ["solve", "--tol-fact", "0"],
+            ["solve", "--n", "0"],
+            ["verify", "--frame", "unipotent"],
+            ["zc-check", "--n", "2"],
+            ["reduce", "--target", "strict", "--depth-M", "12"],
         ],
     )
     def test_unread_flag_rejected(self, capsys, argv):
@@ -417,14 +488,17 @@ class TestFlags:
         cfg = dict(SOLVE_CFG, mode="numeric", pairs=[[-1, 1, 1, 1]])
         code, out, _ = run(
             capsys, "zc-check", "--config", cfg_file(cfg), "--fd-step", "1e-4",
-            "--depth-N", "16", "--depth-M", "12", "--tol-fact", "1e-10", "--n", "2",
+            "--seed", "11", "--checks", "lax:1,1",
         )
         assert code == 0 and json.loads(out)["residuals"]["zc:-1,1:1,1"] <= 1e-6
 
 
 class TestParseChecks:
     def test_grammar(self):
-        assert parse_checks(["lax:2,1"]) == [("lax", 2, 1)]
-        assert parse_checks(["zc:-1,1:1,2"]) == [("zc", -1, 1, 1, 2)]
+        def checks(items):
+            return read_config({"checks": items}, "verify").checks
+
+        assert checks(["lax:2,1"]) == (("lax", 2, 1),)
+        assert checks(["zc:-1,1:1,2"]) == (("zc", -1, 1, 1, 2),)
         with pytest.raises(ValueError):
-            parse_checks(["boom:1"])
+            checks(["boom:1"])

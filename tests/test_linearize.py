@@ -36,7 +36,7 @@ class TestFlowRecord:
 
     def test_roundtrip(self):
         fr = FlowRecord({"2,1": 0.5})
-        assert FlowRecord.from_obj(fr.to_obj()) == fr
+        assert FlowRecord(fr.to_obj()) == fr
 
 
 class TestExponentVector:
